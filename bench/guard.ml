@@ -5,10 +5,13 @@
    committed bench drops by more than the tolerance — default 10%,
    overridable with VSPEC_PERF_TOLERANCE (a fraction, e.g. 0.15) —
    or when the fresh suite-wide fused-retired coverage falls below
-   the committed fusion floor.  Speedups are decoded/direct ratios
-   measured in the same process, so they are robust to host speed;
-   coverage is a ratio of simulated-instruction counts, so it is
-   exact.  Wired into `dune build @perf` / `make perf`.
+   the committed fusion floor, or when the decoded engine allocates
+   more minor-heap words per simulated instruction on any bench than
+   the committed limit.  Speedups are decoded/direct ratios measured
+   in the same process, so they are robust to host speed; coverage is
+   a ratio of simulated-instruction counts and allocation a count of
+   words, so both are exact and carry no tolerance.  Wired into
+   `dune build @perf` / `make perf`.
 
    Usage: guard.exe --fresh FILE [--committed FILE] *)
 
@@ -40,6 +43,23 @@ let benches text =
       let name = Str.matched_group 1 text in
       let speedup = float_of_string (Str.matched_group 2 text) in
       go (p + 1) ((name, speedup) :: acc)
+  in
+  go 0 []
+
+let words_re =
+  Str.regexp
+    "{\"bench\": \"\\([^\"]+\\)\"[^}]*}, \"minor_words_per_insn\": \
+     {\"direct\": [0-9.]+, \"decoded\": \\([0-9.]+\\)}"
+
+(* [(bench, decoded minor words per insn)] in file order. *)
+let decoded_words text =
+  let rec go pos acc =
+    match Str.search_forward words_re text pos with
+    | exception Not_found -> List.rev acc
+    | p ->
+      let name = Str.matched_group 1 text in
+      let words = float_of_string (Str.matched_group 2 text) in
+      go (p + 1) ((name, words) :: acc)
   in
   go 0 []
 
@@ -118,6 +138,23 @@ let () =
   | None, _ ->
     Printf.printf "[guard] committed file has no tracing limit; skipping\n"
   | _, None -> fail "fresh run reports no trace_overhead_pct");
+  (match float_field "decoded_minor_words_limit" committed with
+  | None ->
+    Printf.printf "[guard] committed file has no allocation limit; skipping\n"
+  | Some limit ->
+    let fresh_words = decoded_words fresh in
+    List.iter
+      (fun (name, _) ->
+        match List.assoc_opt name fresh_words with
+        | None -> fail "bench %S reports no minor_words_per_insn" name
+        | Some w ->
+          Printf.printf "[guard] %-8s decoded %.4f minor words/insn (limit %.2f)%s\n"
+            name w limit
+            (if w > limit then "  << REGRESSION" else "");
+          if w > limit then
+            fail "bench %S allocates %.4f minor words/insn > %.2f" name w
+              limit)
+      fresh_benches);
   match !failures with
   | [] -> Printf.printf "[guard] OK (tolerance %.0f%%)\n" (100.0 *. tol)
   | fs ->

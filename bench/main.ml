@@ -104,7 +104,8 @@ let run_micro () =
 (* sequences, and the two fusion-targeted patterns (check+branch       *)
 (* pairs, load+untag pairs) — and run them through both executors,     *)
 (* reporting simulated-instructions-per-second, the decoded/direct     *)
-(* speedup, and the decoded engine's fusion coverage.  Results go to   *)
+(* speedup, the decoded engine's fusion coverage, and each engine's    *)
+(* minor-heap words per simulated instruction.  Results go to          *)
 (* BENCH_exec.json; bench/guard.ml compares a fresh run against the    *)
 (* committed file.                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -233,6 +234,7 @@ type exec_meas = {
   m_fused : int;  (* of which retired inside fused pairs *)
   m_by_kind : int array;  (* fused-pair executions per Perf fuse kind *)
   m_blocks : int;  (* block-granular counter charges taken *)
+  m_words : float;  (* minor-heap words allocated per simulated insn *)
 }
 
 let measure_exec ?(decoded = false) run code =
@@ -254,9 +256,11 @@ let measure_exec ?(decoded = false) run code =
   let kind0 = Array.copy fs.Perf.fused_by_kind in
   let blocks0 = fs.Perf.batched_blocks in
   let t0 = Unix.gettimeofday () in
+  let w0 = Gc.minor_words () in
   for _ = 1 to reps do
     ignore (run cpu ~host ~code ~args:[||])
   done;
+  let words = Gc.minor_words () -. w0 in
   let dt = Unix.gettimeofday () -. t0 in
   let insns = cpu.Cpu.counters.Perf.jit_instructions - insns0 in
   {
@@ -265,6 +269,7 @@ let measure_exec ?(decoded = false) run code =
     m_fused = fs.Perf.fused_retired - fused0;
     m_by_kind = Array.mapi (fun k v -> v - kind0.(k)) fs.Perf.fused_by_kind;
     m_blocks = fs.Perf.batched_blocks - blocks0;
+    m_words = words /. float_of_int (max 1 insns);
   }
 
 let exec_report_path () =
@@ -288,6 +293,13 @@ let fusion_floor_pct = 50.0
    iteration against the same loop without one and reports the extra
    cost as a percentage. *)
 let trace_overhead_limit_pct = 1.0
+
+(* Committed ceiling on the decoded engine's minor-heap allocation per
+   simulated instruction, checked by bench/guard.ml on every kernel.
+   The decoded hot path allocates nothing per instruction (INTERNALS.md,
+   "Allocation-free hot path"); what remains is per-run set-up.  Word
+   counts are deterministic, so the guard applies no tolerance. *)
+let decoded_minor_words_limit = 0.1
 
 let measure_trace_overhead () =
   Trace.disable ();
@@ -381,7 +393,9 @@ let run_exec_bench () =
   in
   let t =
     Support.Table.create ~title:"pre-decoded engine vs direct interpreter"
-      ~columns:[ "bench"; "direct Mi/s"; "decoded Mi/s"; "speedup"; "fused%" ]
+      ~columns:
+        [ "bench"; "direct Mi/s"; "decoded Mi/s"; "speedup"; "fused%";
+          "direct w/i"; "decoded w/i" ]
   in
   List.iter
     (fun (name, direct, decoded, speedup) ->
@@ -390,7 +404,9 @@ let run_exec_bench () =
           Printf.sprintf "%.1f" (direct.m_rate /. 1e6);
           Printf.sprintf "%.1f" (decoded.m_rate /. 1e6);
           Printf.sprintf "%.2fx" speedup;
-          Printf.sprintf "%.1f" (pct decoded.m_fused decoded.m_insns) ])
+          Printf.sprintf "%.1f" (pct decoded.m_fused decoded.m_insns);
+          Printf.sprintf "%.4f" direct.m_words;
+          Printf.sprintf "%.4f" decoded.m_words ])
     rows;
   Support.Table.print t;
   let suite_insns =
@@ -416,9 +432,10 @@ let run_exec_bench () =
          "  \"suite_fused_retired_pct\": %.1f,\n  \"fusion_floor_pct\": %.1f,\n\
          \  \"trace_overhead_pct\": %.2f,\n\
          \  \"trace_overhead_limit_pct\": %.1f,\n\
+         \  \"decoded_minor_words_limit\": %.2f,\n\
          \  \"benches\": [\n"
          (pct suite_fused suite_insns) fusion_floor_pct trace_overhead
-         trace_overhead_limit_pct);
+         trace_overhead_limit_pct decoded_minor_words_limit);
     List.iteri
       (fun idx (name, direct, decoded, speedup) ->
         let pairs =
@@ -432,10 +449,11 @@ let run_exec_bench () =
              "    {\"bench\": %S, \"direct_insns_per_sec\": %.0f, \
               \"decoded_insns_per_sec\": %.0f, \"speedup\": %.3f, \
               \"fused_retired_pct\": %.1f, \"blocks\": %d, \
-              \"fused_pairs\": {%s}}%s\n"
+              \"fused_pairs\": {%s}, \
+              \"minor_words_per_insn\": {\"direct\": %.4f, \"decoded\": %.4f}}%s\n"
              name direct.m_rate decoded.m_rate speedup
              (pct decoded.m_fused decoded.m_insns)
-             decoded.m_blocks pairs
+             decoded.m_blocks pairs direct.m_words decoded.m_words
              (if idx = List.length rows - 1 then "" else ",")))
       rows;
     Buffer.add_string buf "  ]\n}\n";

@@ -294,16 +294,34 @@ let rec execute_optimized t fid margs =
     Interpreter.resume t.rt ~fid ~closure ~regs ~acc ~pc:point.Code.bc_pc
 
 and make_host t =
+  (* Builtin arguments go through per-arity buffers instead of a fresh
+     [Array.sub] per call.  A builtin reads its arguments only during
+     the call, but it may re-enter JS code that calls another builtin
+     before it is done reading, so only the outermost call uses the
+     buffers. *)
+  let bufs = Array.init (Insn.num_gp_regs + 1) (fun n -> Array.make n 0) in
+  let in_builtin = ref false in
   {
     Exec.memory = Heap.memory t.rt.Runtime.heap;
     call_builtin =
       (fun b argv ->
         let this = if Array.length argv > 0 then argv.(0) else Heap.undefined t.rt.Runtime.heap in
-        let args =
-          if Array.length argv > 1 then Array.sub argv 1 (Array.length argv - 1)
-          else [||]
-        in
-        Builtins.dispatch t.rt b ~this ~args);
+        let n = Array.length argv - 1 in
+        if n <= 0 then Builtins.dispatch t.rt b ~this ~args:[||]
+        else if !in_builtin || n >= Array.length bufs then
+          Builtins.dispatch t.rt b ~this ~args:(Array.sub argv 1 n)
+        else begin
+          let args = bufs.(n) in
+          Array.blit argv 1 args 0 n;
+          in_builtin := true;
+          match Builtins.dispatch t.rt b ~this ~args with
+          | v ->
+            in_builtin := false;
+            v
+          | exception e ->
+            in_builtin := false;
+            raise e
+        end);
     call_js =
       (fun fid argv ->
         let f = Runtime.func t.rt fid in
@@ -362,12 +380,12 @@ let create cfg source =
   (* Interpreter and builtin cost accounting on the shared CPU. *)
   rt.Runtime.charge_interp <-
     (fun ~cycles ~instructions ->
-      Cpu.charge cpu ~cycles:(float_of_int cycles)
+      Cpu.charge_int cpu ~cycles
         ~instructions:(instructions * 4)
         ~code_id:Perf.runtime_code_id);
   rt.Runtime.charge_builtin <-
     (fun ~cycles ->
-      Cpu.charge cpu ~cycles:(float_of_int cycles)
+      Cpu.charge_int cpu ~cycles
         ~instructions:(max 1 (cycles * 3 / 4))
         ~code_id:Perf.builtin_code_id);
   (* Tier-up policy. *)

@@ -234,15 +234,18 @@ let regexp_map (rt : Runtime.t) =
 
 (* ---------------- Dispatch ---------------- *)
 
+(* A top-level function rather than a local closure over [rt], which
+   would be allocated on every dispatch. *)
+let charge (rt : Runtime.t) cycles = rt.Runtime.charge_builtin ~cycles
+
 let rec dispatch (rt : Runtime.t) id ~this ~args =
   let h = rt.Runtime.heap in
-  let charge c = rt.Runtime.charge_builtin ~cycles:c in
   match id with
   | 0 (* print *) ->
     let parts = Array.to_list (Array.map (Conv.to_js_string h) args) in
     Buffer.add_string rt.Runtime.output (String.concat " " parts);
     Buffer.add_char rt.Runtime.output '\n';
-    charge 200;
+    charge rt 200;
     Heap.undefined h
   | 1 -> math1 rt args ~cost:25 js_floor
   | 2 -> math1 rt args ~cost:25 (fun f -> Float.of_int (int_of_float (ceil f)))
@@ -257,7 +260,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
   | 11 -> math1 rt args ~cost:60 log
   | 12 -> math1 rt args ~cost:25 Float.round
   | 13 ->
-    charge 30;
+    charge rt 30;
     Heap.number h (Support.Rng.float rt.Runtime.rng 1.0)
   | 14 -> math2 rt args ~cost:70 Float.atan2
   | 15 -> math1 rt args ~cost:70 tan
@@ -265,11 +268,11 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
   | 17 -> math1 rt args ~cost:70 acos
   | 18 -> math1 rt args ~cost:60 (fun x -> log x /. log 2.0)
   | 20 (* push *) ->
-    charge 35;
+    charge rt 35;
     Array.iter (fun v -> Heap.array_push h this v) args;
     Value.smi (Heap.array_length h this)
   | 21 (* pop *) ->
-    charge 30;
+    charge rt 30;
     Heap.array_pop h this
   | 22 (* join *) ->
     let sep =
@@ -285,7 +288,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
       if e <> Heap.undefined h && e <> Heap.null_value h then
         Buffer.add_string buf (Conv.to_js_string h e)
     done;
-    charge (40 + (12 * Buffer.length buf));
+    charge rt (40 + (12 * Buffer.length buf));
     Heap.alloc_string h (Buffer.contents buf)
   | 23 (* array indexOf *) ->
     let needle = arg args 0 h in
@@ -296,7 +299,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
       else go (i + 1)
     in
     let r = go 0 in
-    charge (30 + (6 * if r < 0 then n else r + 1));
+    charge rt (30 + (6 * if r < 0 then n else r + 1));
     Value.smi r
   | 24 (* slice *) ->
     let n = Heap.array_length h this in
@@ -310,7 +313,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     for i = 0 to len - 1 do
       Heap.array_set h out i (Heap.array_get h this (from + i))
     done;
-    charge (40 + (8 * len));
+    charge rt (40 + (8 * len));
     out
   | 25 (* concat *) ->
     let n1 = Heap.array_length h this in
@@ -329,7 +332,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
       for j = 0 to n2 - 1 do
         Heap.array_set h out (n1 + j) (Heap.array_get h other j)
       done;
-      charge (40 + (8 * (n1 + n2)));
+      charge rt (40 + (8 * (n1 + n2)));
       out
     end
   | 26 (* reverse, in place like JS *) ->
@@ -342,15 +345,15 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
       incr i;
       decr j
     done;
-    charge (30 + (6 * n));
+    charge rt (30 + (6 * n));
     this
   | 30 (* charCodeAt *) ->
-    charge 20;
+    charge rt 20;
     let i = int_of_float (num rt args 0) in
     if i < 0 || i >= Heap.string_length h this then Heap.alloc_heap_number h Float.nan
     else Value.smi (Heap.string_char_code h this i)
   | 31 (* charAt *) ->
-    charge 30;
+    charge rt 30;
     let i = int_of_float (num rt args 0) in
     if i < 0 || i >= Heap.string_length h this then Heap.intern h ""
     else Heap.alloc_string h (String.make 1 (Char.chr (Heap.string_char_code h this i land 0xFF)))
@@ -365,7 +368,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
       else go (i + 1)
     in
     let r = if m = 0 then min from n else go (max 0 from) in
-    charge (30 + (4 * n));
+    charge rt (30 + (4 * n));
     Value.smi r
   | 33 (* substring *) ->
     let s = Heap.string_value h this in
@@ -375,7 +378,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     let clamp x = max 0 (min x n) in
     let a = clamp a and b = clamp b in
     let lo = min a b and hi = max a b in
-    charge (30 + (4 * (hi - lo)));
+    charge rt (30 + (4 * (hi - lo)));
     Heap.alloc_string h (String.sub s lo (hi - lo))
   | 34 (* split *) ->
     let s = Heap.string_value h this in
@@ -386,24 +389,24 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     in
     let out = Heap.alloc_array h Heap.Packed_tagged ~capacity:(List.length parts) in
     List.iteri (fun i p -> Heap.array_set h out i (Heap.alloc_string h p)) parts;
-    charge (50 + (10 * String.length s));
+    charge rt (50 + (10 * String.length s));
     out
   | 35 (* toUpperCase *) ->
     let s = Heap.string_value h this in
-    charge (30 + (4 * String.length s));
+    charge rt (30 + (4 * String.length s));
     Heap.alloc_string h (String.uppercase_ascii s)
   | 36 (* toLowerCase *) ->
     let s = Heap.string_value h this in
-    charge (30 + (4 * String.length s));
+    charge rt (30 + (4 * String.length s));
     Heap.alloc_string h (String.lowercase_ascii s)
   | 37 (* String.fromCharCode *) ->
-    charge (25 + (5 * Array.length args));
+    charge rt (25 + (5 * Array.length args));
     Heap.alloc_string h
       (String.init (Array.length args) (fun i ->
            Char.chr (int_of_float (num rt args i) land 0xFF)))
   | 38 (* trim *) ->
     let s = Heap.string_value h this in
-    charge (25 + (2 * String.length s));
+    charge rt (25 + (2 * String.length s));
     Heap.alloc_string h (String.trim s)
   | 39 (* repeat *) ->
     let s = Heap.string_value h this in
@@ -413,10 +416,10 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     for _ = 1 to n do
       Buffer.add_string b s
     done;
-    charge (30 + (3 * Buffer.length b));
+    charge rt (30 + (3 * Buffer.length b));
     Heap.alloc_string h (Buffer.contents b)
   | 40 (* parseInt *) ->
-    charge 60;
+    charge rt 60;
     let s = String.trim (Conv.to_js_string h (arg args 0 h)) in
     let radix =
       if Array.length args > 1 then int_of_float (num rt args 1) else 10
@@ -447,7 +450,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     | Some f -> Heap.number h f
     | None -> Heap.alloc_heap_number h Float.nan)
   | 41 (* parseFloat *) ->
-    charge 60;
+    charge rt 60;
     let s = String.trim (Conv.to_js_string h (arg args 0 h)) in
     (* Longest numeric prefix. *)
     let n = String.length s in
@@ -464,20 +467,20 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     | Some f -> Heap.number h f
     | None -> Heap.alloc_heap_number h Float.nan)
   | 42 (* isNaN *) ->
-    charge 20;
+    charge rt 20;
     Heap.bool_value h (Float.is_nan (num rt args 0))
   | 50 (* rx.test *) ->
     let rx = regex_of_instance rt this in
     let s = Conv.to_js_string h (arg args 0 h) in
     let r = Regex.test rx s in
-    charge (100 + (2 * Regex.steps_of_last_exec rx));
+    charge rt (100 + (2 * Regex.steps_of_last_exec rx));
     Heap.bool_value h r
   | 51 (* rx.exec *) ->
     let rx = regex_of_instance rt this in
     let s = Conv.to_js_string h (arg args 0 h) in
     (match Regex.exec rx s 0 with
     | None ->
-      charge (100 + (2 * Regex.steps_of_last_exec rx));
+      charge rt (100 + (2 * Regex.steps_of_last_exec rx));
       Heap.null_value h
     | Some m ->
       let ncaps = Array.length m.Regex.captures in
@@ -493,74 +496,74 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
             | None -> Heap.array_set h out i (Heap.undefined h))
         m.Regex.captures;
       Heap.set_property h out "index" (Value.smi m.Regex.m_start);
-      charge (150 + (2 * Regex.steps_of_last_exec rx));
+      charge rt (150 + (2 * Regex.steps_of_last_exec rx));
       out)
   | 100 (* rt_binop *) ->
-    charge 13;
+    charge rt 13;
     let op = binop_of_code (Value.smi_value (arg args 0 h)) in
     let a = arg args 1 h and b = arg args 2 h in
     generic_binop rt op a b
   | 101 (* rt_compare *) ->
-    charge 11;
+    charge rt 11;
     let op = binop_of_code (Value.smi_value (arg args 0 h)) in
     let a = arg args 1 h and b = arg args 2 h in
     generic_compare rt op a b
   | 102 (* rt_to_boolean *) ->
-    charge 7;
+    charge rt 7;
     Heap.bool_value h (Conv.to_boolean h (arg args 0 h))
   | 103 (* rt_typeof *) ->
-    charge 10;
+    charge rt 10;
     Heap.intern h (Conv.typeof_string h (arg args 0 h))
   | 104 (* rt_get_named *) ->
-    charge 19;
+    charge rt 19;
     let obj = arg args 0 h in
     let name = Conv.to_js_string h (arg args 1 h) in
     generic_get_named rt obj name
   | 105 (* rt_set_named *) ->
-    charge 23;
+    charge rt 23;
     let obj = arg args 0 h in
     let name = Conv.to_js_string h (arg args 1 h) in
     if Value.is_smi obj then err "cannot set property '%s' of a number" name;
     Heap.set_property h obj name (arg args 2 h);
     Heap.undefined h
   | 106 (* rt_get_keyed *) ->
-    charge 17;
+    charge rt 17;
     generic_get_keyed rt (arg args 0 h) (arg args 1 h)
   | 107 (* rt_set_keyed *) ->
-    charge 21;
+    charge rt 21;
     generic_set_keyed rt (arg args 0 h) (arg args 1 h) (arg args 2 h);
     Heap.undefined h
   | 108 (* rt_call *) ->
-    charge 22;
+    charge rt 22;
     let callee = arg args 0 h and this2 = arg args 1 h in
     let rest = if Array.length args > 2 then Array.sub args 2 (Array.length args - 2) else [||] in
     rt.Runtime.reenter_js callee this2 rest
   | 109 (* rt_construct *) ->
-    charge 30;
+    charge rt 30;
     let callee = arg args 0 h in
     let rest = if Array.length args > 1 then Array.sub args 1 (Array.length args - 1) else [||] in
     rt.Runtime.construct_hook callee rest
   | 110 (* rt_alloc_number: inline-allocation cost, not a real call *) ->
-    charge 8;
+    charge rt 8;
     Heap.alloc_heap_number h 0.0
   | 111 (* rt_create_array *) ->
-    charge 30;
+    charge rt 30;
     let cap = Value.smi_value (arg args 0 h) in
     Heap.alloc_array h Heap.Packed_smi ~capacity:(max 1 cap)
   | 112 (* rt_create_object *) ->
-    charge 28;
+    charge rt 28;
     Heap.alloc_empty_object h
   | 113 (* rt_create_closure *) ->
-    charge 22;
+    charge rt 22;
     let fid = Value.smi_value (arg args 0 h) in
     Heap.alloc_function h ~function_id:fid ~context:(arg args 1 h)
   | 114 (* rt_create_context *) ->
-    charge 25;
+    charge rt 25;
     let parent = arg args 0 h in
     let slots = Value.smi_value (arg args 1 h) in
     Heap.alloc_context h ~parent ~slots
   | 115 (* rt_call_method: receiver-type dispatch like the interpreter *) ->
-    charge 26;
+    charge rt 26;
     let recv = arg args 0 h in
     let name = Conv.to_js_string h (arg args 1 h) in
     let rest =

@@ -54,10 +54,12 @@ let miss_fill t base line =
   false
 
 (* The hit path is loop-free (ways 0-3 unrolled, deeper sets defer to
-   [find_way]) so it inlines into the executors' issue paths even
-   under the classic (non-flambda) inliner, which refuses functions
-   containing loops.  [base + i < sets * assoc = Array.length tags] by
-   construction. *)
+   [find_way]) so the classic (non-flambda) inliner, which refuses
+   functions containing loops, inlines it into [data_latency] and
+   [inst_latency] below.  Builds use [-opaque], so the executors in
+   other modules reach it through a real call; it takes and returns
+   only immediates, so that call allocates nothing.
+   [base + i < sets * assoc = Array.length tags] by construction. *)
 let[@inline] access t addr =
   let line = addr lsr t.line_shift in
   (* Power-of-two set counts (every shipped hierarchy) index with a

@@ -124,13 +124,19 @@ let fast_for = function
 (* The hot timing scalars live in an all-float record: OCaml stores
    such records flat (no per-field box), so the per-instruction
    [now <- now +. _] updates are plain double stores instead of a
-   minor-heap allocation each.  The hot read-only config floats are
-   copied in so the issue paths read them with one load. *)
+   minor-heap allocation each.  The stall sums and the PC sampler's
+   next deadline live here for the same reason: a float store into the
+   mixed [Perf.counters] record boxes the value and goes through
+   [caml_modify].  The hot read-only config floats are copied in so
+   the issue paths read them with one load. *)
 type clock = {
   mutable now : float;
   mutable high : float;
   mutable flags_ready : float;
   mutable fuel_limit : float;  (* watchdog ceiling on [now]; infinity = off *)
+  mutable frontend_stall : float;
+  mutable backend_stall : float;
+  mutable sample_at : float;  (* sampler deadline; infinity = no sampler *)
   inv_width : float;
   rob_slack : float;
   mispredict_penalty : float;
@@ -143,6 +149,7 @@ type t = {
   hier : Cache.hierarchy;
   bp : Predictor.t;
   clk : clock;
+  lat : float array;  (* [latency cfg c] at index [class_index c] *)
   reg_ready : float array;
   freg_ready : float array;
   mutable last_iline : int;
@@ -152,6 +159,38 @@ type t = {
   mutable cur_code : int;   (* attribution target for the PC sampler *)
   mutable cur_pc : int;
 }
+
+let latency cfg = function
+  | C_alu -> cfg.lat_alu
+  | C_mul -> cfg.lat_mul
+  | C_div -> cfg.lat_div
+  | C_load -> 0.0 (* via cache *)
+  | C_store -> 1.0
+  | C_branch -> 1.0
+  | C_falu -> cfg.lat_falu
+  | C_fmul -> cfg.lat_fmul
+  | C_fdiv -> cfg.lat_fdiv
+  | C_fcvt -> cfg.lat_fcvt
+  | C_call -> cfg.lat_call
+  | C_nop -> 0.0
+
+let classes =
+  [| C_alu; C_mul; C_div; C_load; C_store; C_branch; C_falu; C_fmul; C_fdiv;
+     C_fcvt; C_call; C_nop |]
+
+let class_index = function
+  | C_alu -> 0
+  | C_mul -> 1
+  | C_div -> 2
+  | C_load -> 3
+  | C_store -> 4
+  | C_branch -> 5
+  | C_falu -> 6
+  | C_fmul -> 7
+  | C_fdiv -> 8
+  | C_fcvt -> 9
+  | C_call -> 10
+  | C_nop -> 11
 
 let create ?sampler cfg =
   {
@@ -166,12 +205,19 @@ let create ?sampler cfg =
         high = 0.0;
         flags_ready = 0.0;
         fuel_limit = infinity;
+        frontend_stall = 0.0;
+        backend_stall = 0.0;
+        sample_at =
+          (match sampler with
+          | Some s -> Perf.sampler_next s
+          | None -> infinity);
         inv_width = 1.0 /. float_of_int cfg.width;
         rob_slack = cfg.rob_slack;
         mispredict_penalty = cfg.mispredict_penalty;
         taken_bubble = cfg.taken_bubble;
         clk_lat_alu = cfg.lat_alu;
       };
+    lat = Array.map (latency cfg) classes;
     reg_ready = Array.make (Insn.num_gp_regs + 3) 0.0;
     freg_ready = Array.make Insn.num_fp_regs 0.0;
     last_iline = -1;
@@ -188,11 +234,20 @@ let reset t =
   Array.fill t.reg_ready 0 (Array.length t.reg_ready) 0.0;
   Array.fill t.freg_ready 0 (Array.length t.freg_ready) 0.0;
   t.clk.flags_ready <- 0.0;
+  t.clk.frontend_stall <- 0.0;
+  t.clk.backend_stall <- 0.0;
   t.last_iline <- -1;
   Perf.reset_counters t.counters;
   Perf.reset_fusion t.fstats
 
 let cycles t = t.clk.high
+
+(* The stall sums accumulate in [clk]; [counters] holds a copy that the
+   executors refresh on every exit.  A copy, not a delta, so a nested
+   run's publish is simply overwritten by its caller's. *)
+let publish_stalls t =
+  t.counters.Perf.frontend_stall <- t.clk.frontend_stall;
+  t.counters.Perf.backend_stall <- t.clk.backend_stall
 
 (* Watchdog: the ceiling is an absolute point on the dispatch clock, so
    arming is a plain store and the engines' per-instruction check is a
@@ -212,43 +267,49 @@ let watchdog_trip clk ~what =
     Trace.instant_at ~cat:"machine" ~ts:clk.high ~arg:what "watchdog:fire";
   Support.Fault.runaway ~what ~limit:clk.fuel_limit
 
-let latency cfg = function
-  | C_alu -> cfg.lat_alu
-  | C_mul -> cfg.lat_mul
-  | C_div -> cfg.lat_div
-  | C_load -> 0.0 (* via cache *)
-  | C_store -> 1.0
-  | C_branch -> 1.0
-  | C_falu -> cfg.lat_falu
-  | C_fmul -> cfg.lat_fmul
-  | C_fdiv -> cfg.lat_fdiv
-  | C_fcvt -> cfg.lat_fcvt
-  | C_call -> cfg.lat_call
-  | C_nop -> 0.0
-
 let sample t ~code_id ~pc =
   t.cur_code <- code_id;
   t.cur_pc <- pc
 
+(* The sampler's slow paths, entered only once [clk.sample_at] has been
+   reached (about one retired instruction in a few hundred).  Both read
+   the time from [clk] rather than taking it as an argument, so callers
+   in other modules pass no float, and both re-cache the deadline. *)
+let sample_due t =
+  match t.sampler with
+  | None -> ()
+  | Some s ->
+    Perf.sampler_tick s ~now:t.clk.high ~code_id:t.cur_code ~pc:t.cur_pc;
+    t.clk.sample_at <- Perf.sampler_next s
+
+let bulk_sample_due t ~code_id =
+  match t.sampler with
+  | None -> ()
+  | Some s ->
+    Perf.sampler_bulk s ~until:t.clk.now ~code_id;
+    t.clk.sample_at <- Perf.sampler_next s
+
 (* [fetch_line] lets callers that know the fetch line statically (the
    pre-decoded executor precomputes [addr lsr 4] per micro-op) skip the
-   shift; [fetch] is the general entry point. *)
-let[@inline] fetch_line t ~addr ~line =
+   shift; [fetch] is the general entry point.  Called from another
+   module it is a real call (builds use [-opaque]), but it takes and
+   returns no float, so the call allocates nothing. *)
+let fetch_line t ~addr ~line =
   if line <> t.last_iline then begin
     t.last_iline <- line;
     let lat = Cache.inst_latency t.hier addr in
     if lat > 0 then begin
       let lat = float_of_int lat in
-      t.clk.now <- t.clk.now +. lat;
-      t.counters.frontend_stall <- t.counters.frontend_stall +. lat
+      let c = t.clk in
+      c.now <- c.now +. lat;
+      c.frontend_stall <- c.frontend_stall +. lat
     end
   end
 
 let fetch t ~addr = fetch_line t ~addr ~line:(addr lsr 4)
 
 (* Core dispatch/start logic shared by every issue variant.  Returns the
-   start time of execution.  Inlined into the pre-decoded executor's
-   micro-ops as well as the issue variants below. *)
+   start time of execution. *)
 let[@inline] dispatch t ~ready =
   let c = t.clk in
   let d = c.now in
@@ -256,7 +317,7 @@ let[@inline] dispatch t ~ready =
   let start = if ready > d then ready else d in
   if t.cfg.inorder then begin
     if start > c.now then begin
-      t.counters.backend_stall <- t.counters.backend_stall +. (start -. c.now);
+      c.backend_stall <- c.backend_stall +. (start -. c.now);
       c.now <- start
     end
   end
@@ -264,7 +325,7 @@ let[@inline] dispatch t ~ready =
     let slack = c.rob_slack in
     if start -. d > slack then begin
       let push = start -. d -. slack in
-      t.counters.backend_stall <- t.counters.backend_stall +. push;
+      c.backend_stall <- c.backend_stall +. push;
       c.now <- c.now +. push
     end
   end;
@@ -277,16 +338,15 @@ let[@inline] dispatch t ~ready =
    (e.g. cache-miss loads) absorb proportionally many samples — the
    behavior of interrupt-driven PC sampling the paper relies on. *)
 let[@inline] finish t complete =
-  let retire = if complete > t.clk.high then complete else t.clk.high in
-  t.clk.high <- retire;
-  (match t.sampler with
-  | None -> ()
-  | Some s -> Perf.sampler_tick s ~now:retire ~code_id:t.cur_code ~pc:t.cur_pc);
+  let c = t.clk in
+  let retire = if complete > c.high then complete else c.high in
+  c.high <- retire;
+  if retire >= c.sample_at then sample_due t;
   complete
 
 let issue t ~cls ~ready =
   let start = dispatch t ~ready in
-  finish t (start +. latency t.cfg cls)
+  finish t (start +. Array.unsafe_get t.lat (class_index cls))
 
 let issue_load t ~ready ~addr =
   let start = dispatch t ~ready in
@@ -306,28 +366,32 @@ let issue_branch t ~pc ~ready ~taken =
   t.counters.branches <- t.counters.branches + 1;
   if taken then t.counters.taken_branches <- t.counters.taken_branches + 1;
   let correct = Predictor.predict_and_update t.bp ~pc ~taken in
+  let c = t.clk in
   if not correct then begin
     t.counters.mispredicts <- t.counters.mispredicts + 1;
-    let resume = complete +. t.clk.mispredict_penalty in
-    if resume > t.clk.now then begin
-      t.counters.frontend_stall <-
-        t.counters.frontend_stall +. (resume -. t.clk.now);
-      t.clk.now <- resume
+    let resume = complete +. c.mispredict_penalty in
+    if resume > c.now then begin
+      c.frontend_stall <- c.frontend_stall +. (resume -. c.now);
+      c.now <- resume
     end
   end
   else if taken then begin
-    t.clk.now <- t.clk.now +. t.clk.taken_bubble;
-    t.counters.frontend_stall <- t.counters.frontend_stall +. t.clk.taken_bubble
+    c.now <- c.now +. c.taken_bubble;
+    c.frontend_stall <- c.frontend_stall +. c.taken_bubble
   end;
   finish t complete
 
-let charge t ~cycles ~instructions ~code_id =
-  let from = t.clk.now in
-  t.clk.now <- t.clk.now +. cycles;
-  if t.clk.now > t.clk.high then t.clk.high <- t.clk.now;
+let[@inline] charge_at t cycles ~instructions ~code_id =
+  let c = t.clk in
+  c.now <- c.now +. cycles;
+  if c.now > c.high then c.high <- c.now;
   t.counters.instructions <- t.counters.instructions + instructions;
   t.counters.runtime_instructions <-
     t.counters.runtime_instructions + instructions;
-  match t.sampler with
-  | None -> ()
-  | Some s -> Perf.sampler_bulk s ~from ~until:t.clk.now ~code_id
+  if c.now > c.sample_at then bulk_sample_due t ~code_id
+
+let charge t ~cycles ~instructions ~code_id =
+  charge_at t cycles ~instructions ~code_id
+
+let charge_int t ~cycles ~instructions ~code_id =
+  charge_at t (float_of_int cycles) ~instructions ~code_id

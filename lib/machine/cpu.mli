@@ -68,10 +68,10 @@ val fast_for : Arch.t -> config
 (** {1 Timing state} *)
 
 (** Hot timing scalars, kept in an all-float record so they are stored
-    flat: mutating [now]/[high]/[flags_ready] is a plain double store
-    with no boxing — these fields are written for every simulated
-    instruction.  The trailing fields are copies of the hot [config]
-    floats, readable with a single load in the issue paths. *)
+    flat: mutating any of its fields is a plain double store with no
+    boxing — these fields are written for every simulated instruction.
+    The trailing fields are copies of the hot [config] floats, readable
+    with a single load in the issue paths. *)
 type clock = {
   mutable now : float;          (** dispatch pointer, cycles *)
   mutable high : float;         (** max completion time = elapsed cycles *)
@@ -80,6 +80,14 @@ type clock = {
       (** watchdog ceiling on [now]; the executors raise
           [Support.Fault.Fault (Runaway _)] when exceeded.  [infinity]
           (the default) disarms the watchdog. *)
+  mutable frontend_stall : float;
+  mutable backend_stall : float;
+      (** the running stall sums; [counters] holds the copy taken by
+          {!publish_stalls} *)
+  mutable sample_at : float;
+      (** cached {!Perf.sampler_next} of [sampler], or [infinity]
+          without one: an issue path calls {!sample_due} only once a
+          retirement reaches it *)
   inv_width : float;
   rob_slack : float;
   mispredict_penalty : float;
@@ -92,10 +100,16 @@ type t = {
   hier : Cache.hierarchy;
   bp : Predictor.t;
   clk : clock;
+  lat : float array;
+      (** each class's static latency, at index [class_index c]: a
+          flat float array, so another module reads a latency with one
+          unboxed load *)
   reg_ready : float array;      (** GP regs + specials *)
   freg_ready : float array;
   mutable last_iline : int;
   counters : Perf.counters;
+      (** [frontend_stall]/[backend_stall] here are only as fresh as
+          the last {!publish_stalls}; every executor exit publishes *)
   fstats : Perf.fusion;
       (** fusion/batching coverage of the pre-decoded engine; stays
           all-zero under the direct interpreter.  Not part of digested
@@ -106,10 +120,18 @@ type t = {
 }
 
 val create : ?sampler:Perf.sampler -> config -> t
+(** [sampler] must not have been ticked by anyone else: the CPU caches
+    its next deadline in [clk.sample_at]. *)
+
 val reset : t -> unit
 (** Clears timing state and counters but keeps cache/predictor warmth. *)
 
 val cycles : t -> float
+
+val publish_stalls : t -> unit
+(** Copy the stall sums from [clk] into [counters].  Both executors call
+    it on every exit — return, deopt or exception — so [counters] is
+    current whenever no simulated code is running. *)
 
 val arm_watchdog : t -> cycles:float -> unit
 (** Set the watchdog fuel ceiling to [cycles] simulated cycles from the
@@ -125,11 +147,9 @@ val watchdog_trip : clock -> what:string -> 'a
     ["watchdog:fire"] trace instant (when tracing is on) and raises
     [Support.Fault.Fault (Runaway _)].  Never returns. *)
 
-val latency : config -> insn_class -> float
-(** Static class latency used by {!issue}.  Exposed so the pre-decoded
-    executor's local (non-counting) issue paths can reproduce {!issue}'s
-    float arithmetic exactly while batching the integer retirement
-    counters per basic block. *)
+val class_index : insn_class -> int
+(** Index of a class's static latency in [t.lat]; the pre-decoded
+    executor resolves it at decode time. *)
 
 (** {1 Per-instruction hooks (called by the executor)} *)
 
@@ -144,15 +164,10 @@ val issue : t -> cls:insn_class -> ready:float -> float
 (** Dispatch + execute one instruction whose operands are ready at
     [ready]; returns its completion time.  Counts it as retired. *)
 
-val dispatch : t -> ready:float -> float
-(** The dispatch/start half of {!issue}: advance the dispatch pointer,
-    charge backend stalls, count the instruction as retired; returns the
-    execution start time.  Exposed (inlined) so the pre-decoded executor
-    can fuse it with a latency resolved at decode time. *)
-
-val finish : t -> float -> float
-(** The completion half of {!issue}: in-order retirement bookkeeping and
-    PC-sampler ticks; returns its argument. *)
+val sample_due : t -> unit
+(** The PC sampler's slow path: tick the sampler at [clk.high] for
+    [(cur_code, cur_pc)] and re-cache [clk.sample_at].  Call it after
+    setting [clk.high] to a retirement time [>= clk.sample_at]. *)
 
 val issue_load : t -> ready:float -> addr:int -> float
 val issue_store : t -> ready:float -> addr:int -> float
@@ -165,6 +180,10 @@ val charge : t -> cycles:float -> instructions:int -> code_id:int -> unit
 (** Bulk cost of non-JIT execution (interpreter, builtins, GC): advances
     time, counts instructions, and lets the sampler attribute the region
     to [code_id]. *)
+
+val charge_int : t -> cycles:int -> instructions:int -> code_id:int -> unit
+(** [charge] with whole cycles, for the per-call interpreter and builtin
+    charges: the caller passes no boxed float. *)
 
 val sample : t -> code_id:int -> pc:int -> unit
 (** Set the sampler's attribution target for the next issue (the

@@ -88,8 +88,8 @@ type st = {
   cpu : Cpu.t;
   clk : Cpu.clock; (* = cpu.clk, cached to save an indirection *)
   inorder : bool; (* = cpu.cfg.inorder *)
-  sampler : Perf.sampler option; (* = cpu.sampler *)
-  sampling : bool; (* = sampler <> None; read by fused micro-ops *)
+  sampling : bool; (* = cpu.sampler <> None; read by fused micro-ops *)
+  lat : float array; (* = cpu.lat *)
   bp : Predictor.t; (* = cpu.bp, hoisted out of the per-branch path *)
   counters : Perf.counters;
   fstats : Perf.fusion;
@@ -227,17 +227,23 @@ let[@inline] rget st r = Array.unsafe_get st.regs r
 let[@inline] rset st r (v : int) = Array.unsafe_set st.regs r v
 let[@inline] tget st r : float = Array.unsafe_get st.rr r
 let[@inline] tset st r (v : float) = Array.unsafe_set st.rr r v
+let[@inline] aready st b i = fmax (tget st b) (tget st i)
 
-(* Inlined issue paths: [Cpu.dispatch]/[Cpu.finish] re-expressed over
-   the state cached in [st] (clock, counters, in-order bit, sampler)
-   and fused with the latency class resolved at decode time, so the
-   hot micro-ops pay no [Cpu.issue] call chain, no per-instruction
-   latency lookup and no re-derivation through [Cpu.t].  Same float
-   arithmetic in the same order as [Cpu.issue]* — bit-identical timing
-   (enforced by the exec-determinism suite).  Unlike [Cpu.issue]*,
-   these do NOT bump the static integer counters (instructions, loads,
-   stores, branches): those are precomputed per basic block at decode
-   time and charged once at block entry by [charge] below. *)
+(* Local issue paths: [Cpu.dispatch]/[Cpu.finish] re-expressed over
+   the state cached in [st] (clock, counters, in-order bit, latency
+   table) and fused with the latency class resolved at decode time.
+   Builds compile every library with [-opaque], so a call into [Cpu]
+   is never inlined and boxes every float it passes or returns; these
+   helpers are [@inline] within this module instead, and keep the hot
+   path allocation-free (INTERNALS.md, "Allocation-free hot path"):
+   stall sums and the sampler deadline are flat stores into [clk],
+   [retire] calls out only when a sample is due, and the helpers whose
+   completion time is unused return unit.  Same float arithmetic in the
+   same order as [Cpu.issue]* — bit-identical timing (enforced by the
+   exec-determinism suite).  Unlike [Cpu.issue]*, these do NOT bump the
+   static integer counters (instructions, loads, stores, branches):
+   those are precomputed per basic block at decode time and charged
+   once at block entry by [charge] below. *)
 let[@inline] disp st ~ready =
   let c = st.clk in
   let d = c.Cpu.now in
@@ -245,8 +251,7 @@ let[@inline] disp st ~ready =
   let start = if ready > d then ready else d in
   if st.inorder then begin
     if start > c.Cpu.now then begin
-      let cnt = st.counters in
-      cnt.Perf.backend_stall <- cnt.Perf.backend_stall +. (start -. c.Cpu.now);
+      c.Cpu.backend_stall <- c.Cpu.backend_stall +. (start -. c.Cpu.now);
       c.Cpu.now <- start
     end
   end
@@ -254,43 +259,52 @@ let[@inline] disp st ~ready =
     let slack = c.Cpu.rob_slack in
     if start -. d > slack then begin
       let push = start -. d -. slack in
-      let cnt = st.counters in
-      cnt.Perf.backend_stall <- cnt.Perf.backend_stall +. push;
+      c.Cpu.backend_stall <- c.Cpu.backend_stall +. push;
       c.Cpu.now <- c.Cpu.now +. push
     end
   end;
   start
 
-let[@inline] fin st complete =
+let[@inline] retire st complete =
   let c = st.clk in
-  let retire = if complete > c.Cpu.high then complete else c.Cpu.high in
-  c.Cpu.high <- retire;
-  (match st.sampler with
-  | None -> ()
-  | Some s ->
-    Perf.sampler_tick s ~now:retire ~code_id:st.cpu.Cpu.cur_code
-      ~pc:st.cpu.Cpu.cur_pc);
-  complete
+  let r = if complete > c.Cpu.high then complete else c.Cpu.high in
+  c.Cpu.high <- r;
+  if r >= c.Cpu.sample_at then Cpu.sample_due st.cpu
 
 let[@inline] issue_alu st ~ready =
-  let start = disp st ~ready in
-  fin st (start +. st.clk.Cpu.clk_lat_alu)
+  let t = disp st ~ready +. st.clk.Cpu.clk_lat_alu in
+  retire st t;
+  t
 
-(* The general-class issue: the latency table lookup [Cpu.issue] does,
-   minus its retirement counting. *)
-let[@inline] issue_cls st ~cls ~ready =
+(* The general-class issue: [lat] is the class's [Cpu.class_index]. *)
+let[@inline] issue_lat st ~lat ~ready =
+  let t = disp st ~ready +. Array.unsafe_get st.lat lat in
+  retire st t;
+  t
+
+(* [issue_lat] for an instruction whose completion time is unused. *)
+let[@inline] issue_lat_unit st ~lat ~ready =
+  retire st (disp st ~ready +. Array.unsafe_get st.lat lat)
+
+let lat_falu = Cpu.class_index Cpu.C_falu
+let lat_fcvt = Cpu.class_index Cpu.C_fcvt
+let lat_call = Cpu.class_index Cpu.C_call
+let lat_load = Cpu.class_index Cpu.C_load
+let lat_store = Cpu.class_index Cpu.C_store
+
+let[@inline] load_complete st ~ready ~addr =
   let start = disp st ~ready in
-  fin st (start +. Cpu.latency st.cpu.Cpu.cfg cls)
+  start +. float_of_int (Cache.data_latency st.cpu.Cpu.hier addr)
 
 let[@inline] issue_load st ~ready ~addr =
-  let start = disp st ~ready in
-  let lat = float_of_int (Cache.data_latency st.cpu.Cpu.hier addr) in
-  fin st (start +. lat)
+  let t = load_complete st ~ready ~addr in
+  retire st t;
+  t
 
 let[@inline] issue_store st ~ready ~addr =
   let start = disp st ~ready in
   ignore (Cache.access st.cpu.Cpu.hier.Cache.l1d addr);
-  fin st (start +. 1.0)
+  retire st (start +. 1.0)
 
 let[@inline] issue_branch st ~pc ~ready ~taken =
   let start = disp st ~ready in
@@ -303,17 +317,17 @@ let[@inline] issue_branch st ~pc ~ready ~taken =
     c.Perf.mispredicts <- c.Perf.mispredicts + 1;
     let resume = complete +. clk.Cpu.mispredict_penalty in
     if resume > clk.Cpu.now then begin
-      c.Perf.frontend_stall <-
-        c.Perf.frontend_stall +. (resume -. clk.Cpu.now);
+      clk.Cpu.frontend_stall <-
+        clk.Cpu.frontend_stall +. (resume -. clk.Cpu.now);
       clk.Cpu.now <- resume
     end
   end
   else if taken then begin
     let bubble = clk.Cpu.taken_bubble in
     clk.Cpu.now <- clk.Cpu.now +. bubble;
-    c.Perf.frontend_stall <- c.Perf.frontend_stall +. bubble
+    clk.Cpu.frontend_stall <- clk.Cpu.frontend_stall +. bubble
   end;
-  ignore (fin st complete)
+  retire st complete
 
 (* Batched accounting: one static-counter update per basic-block entry
    (or per slot when batching is off — the deltas then describe single
@@ -808,8 +822,8 @@ let compile (code : Code.t) : program =
     r
   in
 
-  (* Effective-address and address-ready evaluation, specialized at
-     decode time on the presence of an index register. *)
+  (* Effective-address evaluation, specialized at decode time on the
+     presence of an index register. *)
   let eff (a : Insn.addr) =
     let b = vreg a.Insn.base and off = a.Insn.offset in
     match a.Insn.index with
@@ -819,13 +833,13 @@ let compile (code : Code.t) : program =
       let s = a.Insn.scale in
       fun st -> rget st b + (rget st ix * s) + off
   in
-  let aready (a : Insn.addr) =
+  (* Address-ready registers: the base and the index, or the base twice
+     when there is none (the max of a value with itself is the value),
+     so the micro-op reads them inline instead of calling a closure that
+     would return a boxed float. *)
+  let aregs (a : Insn.addr) =
     let b = vreg a.Insn.base in
-    match a.Insn.index with
-    | None -> fun st -> tget st b
-    | Some ix ->
-      let ix = vreg ix in
-      fun st -> fmax (tget st b) (tget st ix)
+    (b, match a.Insn.index with None -> b | Some ix -> vreg ix)
   in
 
   (* The body of one singleton micro-op: the instruction's semantics
@@ -866,10 +880,10 @@ let compile (code : Code.t) : program =
           tset st d t;
           next
       | Some _ ->
-        let ea = eff a and rdy = aready a in
+        let ea = eff a and ab, ai = aregs a in
         fun st ->
           let ea = ea st in
-          let t = issue_load st ~ready:(rdy st) ~addr:ea in
+          let t = issue_load st ~ready:(aready st ab ai) ~addr:ea in
           rset st d (Array.unsafe_get st.mem (mem_index st name ea));
           tset st d t;
           next)
@@ -881,23 +895,23 @@ let compile (code : Code.t) : program =
         fun st ->
           let ea = rget st b + off in
           let ready = fmax (tget st b) (tget st s) in
-          ignore (issue_store st ~ready ~addr:ea);
+          issue_store st ~ready ~addr:ea;
           Array.unsafe_set st.mem (mem_index st name ea) (rget st s);
           next
       | Some _ ->
-        let ea = eff a and rdy = aready a in
+        let ea = eff a and ab, ai = aregs a in
         fun st ->
           let ea = ea st in
-          let ready = fmax (rdy st) (tget st s) in
-          ignore (issue_store st ~ready ~addr:ea);
+          let ready = fmax (aready st ab ai) (tget st s) in
+          issue_store st ~ready ~addr:ea;
           Array.unsafe_set st.mem (mem_index st name ea) (rget st s);
           next)
     | Insn.Ldr_f (d, a) ->
       let d = vfreg d in
-      let ea = eff a and rdy = aready a in
+      let ea = eff a and ab, ai = aregs a in
       fun st ->
         let ea = ea st in
-        let t = issue_load st ~ready:(rdy st) ~addr:ea in
+        let t = issue_load st ~ready:(aready st ab ai) ~addr:ea in
         let i0 = mem_index st name ea in
         let i1 = mem_index2 st name ea i0 in
         let lo = Int64.of_int (st.mem.(i0) land 0xFFFFFFFF) in
@@ -908,11 +922,11 @@ let compile (code : Code.t) : program =
         next
     | Insn.Str_f (a, s) ->
       let s = vfreg s in
-      let ea = eff a and rdy = aready a in
+      let ea = eff a and ab, ai = aregs a in
       fun st ->
         let ea = ea st in
-        let ready = fmax (rdy st) st.fr.(s) in
-        ignore (issue_store st ~ready ~addr:ea);
+        let ready = fmax (aready st ab ai) st.fr.(s) in
+        issue_store st ~ready ~addr:ea;
         let bits = Int64.bits_of_float st.fregs.(s) in
         let i0 = mem_index st name ea in
         let i1 = mem_index2 st name ea i0 in
@@ -926,6 +940,7 @@ let compile (code : Code.t) : program =
         | Insn.Sdiv | Insn.Smod -> Cpu.C_div
         | _ -> Cpu.C_alu
       in
+      let lat = Cpu.class_index cls in
       (* Specialize the dominant flag-free add/sub forms; everything
          else shares a generic body with the operator pre-captured. *)
       let dst = vreg dst and src = vreg src in
@@ -978,7 +993,7 @@ let compile (code : Code.t) : program =
       | _, Insn.Imm v, _ ->
         fun st ->
           let a = st.regs.(src) in
-          let t = issue_cls st ~cls ~ready:st.rr.(src) in
+          let t = issue_lat st ~lat ~ready:st.rr.(src) in
           let raw = alu_raw op a v in
           if set_flags then set_alu_flags st op a v raw;
           st.regs.(dst) <- sext32 raw;
@@ -988,7 +1003,7 @@ let compile (code : Code.t) : program =
       | _, Insn.Reg r, _ ->
         fun st ->
           let a = st.regs.(src) and b = st.regs.(r) in
-          let t = issue_cls st ~cls ~ready:(fmax st.rr.(src) st.rr.(r)) in
+          let t = issue_lat st ~lat ~ready:(fmax st.rr.(src) st.rr.(r)) in
           let raw = alu_raw op a b in
           if set_flags then set_alu_flags st op a b raw;
           st.regs.(dst) <- sext32 raw;
@@ -996,10 +1011,10 @@ let compile (code : Code.t) : program =
           if set_flags then st.clk.Cpu.flags_ready <- t;
           next)
     | Insn.Alu_mem { op; dst; src; mem = a } ->
-      let ea = eff a and rdy = aready a in
+      let ea = eff a and ab, ai = aregs a in
       fun st ->
         let ea = ea st in
-        let ready = fmax st.rr.(src) (rdy st) in
+        let ready = fmax st.rr.(src) (aready st ab ai) in
         let t = issue_load st ~ready ~addr:ea in
         let b = st.mem.(mem_index st name ea) in
         let av = st.regs.(src) in
@@ -1036,10 +1051,10 @@ let compile (code : Code.t) : program =
         st.clk.Cpu.flags_ready <- t;
         next
     | Insn.Cmp_mem (a, m) ->
-      let ea = eff m and rdy = aready m in
+      let ea = eff m and ab, ai = aregs m in
       fun st ->
         let eav = ea st in
-        let ready = fmax st.rr.(a) (rdy st) in
+        let ready = fmax st.rr.(a) (aready st ab ai) in
         let t = issue_load st ~ready ~addr:eav in
         let bv = st.mem.(mem_index st name eav) in
         let av = st.regs.(a) in
@@ -1064,13 +1079,13 @@ let compile (code : Code.t) : program =
         next
     | Insn.Fmov (d, s) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_falu ~ready:st.fr.(s) in
+        let t = issue_lat st ~lat:lat_falu ~ready:st.fr.(s) in
         st.fregs.(d) <- st.fregs.(s);
         st.fr.(d) <- t;
         next
     | Insn.Fmov_imm (d, v) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_falu ~ready:0.0 in
+        let t = issue_lat st ~lat:lat_falu ~ready:0.0 in
         st.fregs.(d) <- v;
         st.fr.(d) <- t;
         next
@@ -1081,8 +1096,9 @@ let compile (code : Code.t) : program =
         | Insn.Fmul -> Cpu.C_fmul
         | Insn.Fdiv -> Cpu.C_fdiv
       in
+      let lat = Cpu.class_index cls in
       fun st ->
-        let t = issue_cls st ~cls ~ready:(fmax st.fr.(a) st.fr.(b)) in
+        let t = issue_lat st ~lat ~ready:(fmax st.fr.(a) st.fr.(b)) in
         let av = st.fregs.(a) and bv = st.fregs.(b) in
         st.fregs.(dst) <-
           (match op with
@@ -1095,7 +1111,7 @@ let compile (code : Code.t) : program =
     | Insn.Fcmp (a, b) ->
       fun st ->
         let t =
-          issue_cls st ~cls:Cpu.C_falu ~ready:(fmax st.fr.(a) st.fr.(b))
+          issue_lat st ~lat:lat_falu ~ready:(fmax st.fr.(a) st.fr.(b))
         in
         let av = st.fregs.(a) and bv = st.fregs.(b) in
         if Float.is_nan av || Float.is_nan bv then begin
@@ -1115,13 +1131,13 @@ let compile (code : Code.t) : program =
         next
     | Insn.Scvtf (d, s) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_fcvt ~ready:st.rr.(s) in
+        let t = issue_lat st ~lat:lat_fcvt ~ready:st.rr.(s) in
         st.fregs.(d) <- float_of_int st.regs.(s);
         st.fr.(d) <- t;
         next
     | Insn.Fcvtzs (d, s) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_fcvt ~ready:st.fr.(s) in
+        let t = issue_lat st ~lat:lat_fcvt ~ready:st.fr.(s) in
         let v = st.fregs.(s) in
         st.regs.(d) <- (if Float.is_nan v then 0 else sext32 (int_of_float v));
         st.rr.(d) <- t;
@@ -1129,15 +1145,14 @@ let compile (code : Code.t) : program =
     | Insn.B l ->
       let tgt = starget l in
       fun st ->
-        ignore (issue_branch st ~pc:bpc ~ready:0.0 ~taken:true);
+        issue_branch st ~pc:bpc ~ready:0.0 ~taken:true;
         tgt
     | Insn.Bcond (c, l) ->
       let tgt = starget l in
       let cond = cond_fn c in
       fun st ->
         let taken = cond st in
-        ignore
-          (issue_branch st ~pc:bpc ~ready:st.clk.Cpu.flags_ready ~taken);
+        issue_branch st ~pc:bpc ~ready:st.clk.Cpu.flags_ready ~taken;
         if taken then tgt else next
     | Insn.Deopt_if (c, dp) ->
       let point = deopts.(dp) in
@@ -1145,8 +1160,7 @@ let compile (code : Code.t) : program =
       let cond = cond_fn c in
       fun st ->
         let taken = cond st in
-        ignore
-          (issue_branch st ~pc:bpc ~ready:st.clk.Cpu.flags_ready ~taken);
+        issue_branch st ~pc:bpc ~ready:st.clk.Cpu.flags_ready ~taken;
         if taken then begin
           st.counters.Perf.deopt_events <- st.counters.Perf.deopt_events + 1;
           refund st rf;
@@ -1164,13 +1178,13 @@ let compile (code : Code.t) : program =
     | Insn.Js_ldr_smi { dst; mem = a; deopt } ->
       (* Fused load + Not-a-SMI check + untagging shift (Fig 12). *)
       let dst = vreg dst in
-      let ea = eff a and rdy = aready a in
+      let ea = eff a and ab, ai = aregs a in
       let point = deopts.(deopt) in
       let reason = point.Code.reason in
       let rcode = reason_code reason in
       fun st ->
         let ea = ea st in
-        let t = issue_load st ~ready:(rdy st) ~addr:ea in
+        let t = issue_load st ~ready:(aready st ab ai) ~addr:ea in
         let t = t +. st.cpu.Cpu.cfg.Cpu.smi_load_extra in
         let w = st.mem.(mem_index st name ea) in
         if w land 1 <> 0 then begin
@@ -1200,13 +1214,13 @@ let compile (code : Code.t) : program =
     | Insn.Js_chk_map { mem = a; expected; deopt } ->
       (* Future-work fused map check: load + compare in the load unit;
          branch-free bailout like jsldrsmi. *)
-      let ea = eff a and rdy = aready a in
+      let ea = eff a and ab, ai = aregs a in
       let point = deopts.(deopt) in
       let reason = point.Code.reason in
       let rcode = reason_code reason in
       fun st ->
         let ea = ea st in
-        ignore (issue_load st ~ready:(rdy st) ~addr:ea);
+        retire st (load_complete st ~ready:(aready st ab ai) ~addr:ea);
         let w = st.mem.(mem_index st name ea) in
         if w <> expected then begin
           st.regs.(reg_pc) <- bpc;
@@ -1241,7 +1255,7 @@ let compile (code : Code.t) : program =
         for i = 0 to argc - 1 do
           if tget st i > !ready then ready := tget st i
         done;
-        let t = issue_cls st ~cls:Cpu.C_call ~ready:!ready in
+        let t = issue_lat st ~lat:lat_call ~ready:!ready in
         (* Synchronize dispatch with the call. *)
         if t > st.clk.Cpu.now then st.clk.Cpu.now <- t;
         let args_view = scratch_buf st argc in
@@ -1264,28 +1278,28 @@ let compile (code : Code.t) : program =
         next
     | Insn.Ret ->
       fun st ->
-        ignore (issue_branch st ~pc:bpc ~ready:st.rr.(0) ~taken:true);
+        issue_branch st ~pc:bpc ~ready:st.rr.(0) ~taken:true;
         st.outcome <- Done st.regs.(0);
         -1
     | Insn.Spill (slot, s) ->
       fun st ->
-        ignore (issue_cls st ~cls:Cpu.C_store ~ready:st.rr.(s));
+        issue_lat_unit st ~lat:lat_store ~ready:st.rr.(s);
         st.slots.(slot) <- st.regs.(s);
         next
     | Insn.Reload (d, slot) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_load ~ready:0.0 in
+        let t = issue_lat st ~lat:lat_load ~ready:0.0 in
         st.regs.(d) <- st.slots.(slot);
         st.rr.(d) <- t +. 2.0 (* L1-hit reload *);
         next
     | Insn.Spill_f (slot, s) ->
       fun st ->
-        ignore (issue_cls st ~cls:Cpu.C_store ~ready:st.fr.(s));
+        issue_lat_unit st ~lat:lat_store ~ready:st.fr.(s);
         st.fslots.(slot) <- st.fregs.(s);
         next
     | Insn.Reload_f (d, slot) ->
       fun st ->
-        let t = issue_cls st ~cls:Cpu.C_load ~ready:0.0 in
+        let t = issue_lat st ~lat:lat_load ~ready:0.0 in
         st.fregs.(d) <- st.fslots.(slot);
         st.fr.(d) <- t +. 2.0;
         next
@@ -1420,10 +1434,10 @@ let compile (code : Code.t) : program =
         tset st dst2 t2;
         next
     | Some _ ->
-      let ea = eff am and rdy = aready am in
+      let ea = eff am and ab, ai = aregs am in
       fun st ->
         let eav = ea st in
-        let t = issue_load st ~ready:(rdy st) ~addr:eav in
+        let t = issue_load st ~ready:(aready st ab ai) ~addr:eav in
         let w = Array.unsafe_get st.mem (mem_index st name eav) in
         rset st d w;
         tset st d t;
@@ -1580,8 +1594,8 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
       cpu;
       clk = cpu.Cpu.clk;
       inorder = cpu.Cpu.cfg.Cpu.inorder;
-      sampler = cpu.Cpu.sampler;
       sampling = cpu.Cpu.sampler <> None;
+      lat = cpu.Cpu.lat;
       bp = cpu.Cpu.bp;
       counters = cpu.Cpu.counters;
       fstats = cpu.Cpu.fstats;
@@ -1632,7 +1646,9 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
      retirement (issue precedes the memory access, as in the direct
      engine) but not its block suffix: the handler applies the
      faulting slot's precomputed refund, restoring exact counter
-     agreement, and re-raises. *)
+     agreement, and re-raises.  Every exit — return, deopt or any
+     exception — publishes the stall sums from the clock into the
+     counters. *)
   let i = ref 0 in
   (try
      match cpu.Cpu.sampler with
@@ -1666,7 +1682,11 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
          if addr >= 0 then Cpu.fetch_line cpu ~addr ~line:(addr lsr 4);
          i := (Array.unsafe_get uops k) st
        done
-   with Machine_fault _ as e ->
-     refund st (Array.unsafe_get faults !i);
+   with e ->
+     (match e with
+     | Machine_fault _ -> refund st (Array.unsafe_get faults !i)
+     | _ -> ());
+     Cpu.publish_stalls cpu;
      raise e);
+  Cpu.publish_stalls cpu;
   st.outcome

@@ -502,7 +502,10 @@ let run_direct (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
          rr.(d) <- t);
        pc := !next
      done
-   with Machine_fault _ as e -> raise e);
+   with e ->
+     Cpu.publish_stalls cpu;
+     raise e);
+  Cpu.publish_stalls cpu;
   match !result with
   | Some r -> r
   | None -> fault "%s: executor loop exited without result" code.Code.name

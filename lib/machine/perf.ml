@@ -121,48 +121,68 @@ let reset_fusion f =
   Array.fill f.fused_by_kind 0 num_fuse_kinds 0;
   f.batched_blocks <- 0
 
+(* The two times are in an all-float record of their own, stored flat,
+   so advancing the deadline is a plain double store.  [last_code] and
+   [last_bucket] cache the most recent bucket: consecutive samples
+   almost always hit the same code object, and a [Hashtbl.find_opt]
+   allocates its option. *)
+type times = { period : float; mutable next : float }
+
 type sampler = {
-  period : float;
-  mutable next : float;
+  times : times;
   rng : Support.Rng.t;
   samples : (int, int array) Hashtbl.t;
   mutable total : int;
+  mutable last_code : int;
+  mutable last_bucket : int array;
 }
 
 let create_sampler ~period ~seed =
   {
-    period;
-    next = period;
+    times = { period; next = period };
     rng = Support.Rng.create seed;
     samples = Hashtbl.create 64;
     total = 0;
+    last_code = min_int;
+    last_bucket = [||];
   }
 
-let sampler_reset s =
-  s.next <- s.period;
-  Hashtbl.reset s.samples;
-  s.total <- 0
+let sampler_next s = s.times.next
 
 let bucket s code_id size =
-  match Hashtbl.find_opt s.samples code_id with
-  | Some a when Array.length a >= size -> a
-  | Some a ->
-    let b = Array.make size 0 in
-    Array.blit a 0 b 0 (Array.length a);
-    Hashtbl.replace s.samples code_id b;
+  if code_id = s.last_code && Array.length s.last_bucket >= size then
+    s.last_bucket
+  else begin
+    let b =
+      match Hashtbl.find_opt s.samples code_id with
+      | Some a when Array.length a >= size -> a
+      | Some a ->
+        let b = Array.make size 0 in
+        Array.blit a 0 b 0 (Array.length a);
+        Hashtbl.replace s.samples code_id b;
+        b
+      | None ->
+        let b = Array.make size 0 in
+        Hashtbl.replace s.samples code_id b;
+        b
+    in
+    s.last_code <- code_id;
+    s.last_bucket <- b;
     b
-  | None ->
-    let b = Array.make size 0 in
-    Hashtbl.replace s.samples code_id b;
-    b
+  end
 
+(* +/-10 % jitter keeps the sampler from phase-locking with loops.  The
+   uniform draw is [Support.Rng.float s.rng 0.2] computed here from its
+   bits, which keeps the boxed float result of a cross-module call off
+   the sampling path. *)
 let advance s =
-  (* +/-10 % jitter keeps the sampler from phase-locking with loops. *)
-  let jitter = (Support.Rng.float s.rng 0.2 -. 0.1) *. s.period in
-  s.next <- s.next +. s.period +. jitter
+  let t = s.times in
+  let u = 0.2 *. (float_of_int (Support.Rng.bits53 s.rng) /. 9007199254740992.0) in
+  let jitter = (u -. 0.1) *. t.period in
+  t.next <- t.next +. t.period +. jitter
 
 let sampler_tick s ~now ~code_id ~pc =
-  while now >= s.next do
+  while now >= s.times.next do
     let b = bucket s code_id (pc + 1) in
     b.(pc) <- b.(pc) + 1;
     s.total <- s.total + 1;
@@ -172,14 +192,13 @@ let sampler_tick s ~now ~code_id ~pc =
     advance s
   done
 
-let sampler_bulk s ~from ~until ~code_id =
-  ignore from;
-  while until > s.next do
+let sampler_bulk s ~until ~code_id =
+  while until > s.times.next do
     let b = bucket s code_id 1 in
     b.(0) <- b.(0) + 1;
     s.total <- s.total + 1;
     if !Trace.on && s.total land 1023 = 0 then
-      Trace.counter_at ~cat:"machine" ~ts:s.next "sampler.samples"
+      Trace.counter_at ~cat:"machine" ~ts:s.times.next "sampler.samples"
         (float_of_int s.total);
     advance s
   done

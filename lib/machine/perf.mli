@@ -78,16 +78,23 @@ val reset_fusion : fusion -> unit
 type sampler
 
 val create_sampler : period:float -> seed:int -> sampler
-val sampler_reset : sampler -> unit
+
+val sampler_next : sampler -> float
+(** The next sampling point.  {!sampler_tick} does nothing while
+    [now < sampler_next s] and {!sampler_bulk} nothing while
+    [until <= sampler_next s], so a caller that caches this deadline in
+    flat float storage can skip both calls — and the float boxing a
+    call costs — until a sample is due.  The deadline only moves inside
+    those two functions. *)
 
 val sampler_tick : sampler -> now:float -> code_id:int -> pc:int -> unit
-(** Record a sample for every sampling point passed since the previous
-    tick, attributing them to [(code_id, pc)]. *)
+(** Record a sample for every sampling point at or before [now] not yet
+    taken, attributing them to [(code_id, pc)]. *)
 
-val sampler_bulk : sampler -> from:float -> until:float -> code_id:int -> unit
-(** Attribute all sampling points in [\[from, until)] to [(code_id, 0)]
-    — used for interpreter/builtin/GC regions that are not simulated
-    instruction by instruction. *)
+val sampler_bulk : sampler -> until:float -> code_id:int -> unit
+(** Attribute every sampling point before [until] not yet taken to
+    [(code_id, 0)] — used for interpreter/builtin/GC regions that are
+    not simulated instruction by instruction. *)
 
 val samples_for : sampler -> code_id:int -> size:int -> int array
 (** Per-instruction sample counts for a code object (zeros if never

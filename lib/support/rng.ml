@@ -1,22 +1,35 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a mutable [int64] record
+   field would box a fresh [Int64] on every draw.  The primitives below
+   read and write it without boxing, and the helpers are inlined so the
+   whole draw stays in registers. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set64 t 0 s;
+  t
 
-let next_seed t =
-  t.state <- Int64.add t.state golden_gamma;
-  t.state
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_seed t =
+  let s = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 s;
+  s
 
 (* SplitMix64 finalizer. *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next64 t = mix (next_seed t)
+let[@inline] next64 t = mix (next_seed t)
 
-let split t = { state = next64 t }
+let split t = of_state (next64 t)
 
 let nonneg t = Int64.to_int (Int64.shift_right_logical (next64 t) 2)
 
@@ -28,9 +41,10 @@ let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";
   lo + int t (hi - lo + 1)
 
-let float t bound =
-  let u = Int64.to_float (Int64.shift_right_logical (next64 t) 11) in
-  bound *. (u /. 9007199254740992.0 (* 2^53 *))
+let bits53 t = Int64.to_int (Int64.shift_right_logical (next64 t) 11)
+
+(* [bits53 t < 2^53], so [float_of_int] converts it exactly. *)
+let float t bound = bound *. (float_of_int (bits53 t) /. 9007199254740992.0 (* 2^53 *))
 
 let bool t = Int64.logand (next64 t) 1L = 1L
 

@@ -26,6 +26,12 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
+val bits53 : t -> int
+(** The next draw's top 53 bits, uniform in [\[0, 2^53)].  [float t b]
+    is exactly [b *. (float_of_int (bits53 t) /. 2^53)]; a caller in
+    another module can compute that itself and so avoid receiving a
+    boxed float. *)
+
 val bool : t -> bool
 
 val gaussian : t -> mu:float -> sigma:float -> float

@@ -146,6 +146,96 @@ let test_dynamic_coverage () =
       Alcotest.(check int) "batch off: fusion still live" 32
         cpu.Cpu.fstats.Perf.fused_retired)
 
+(* ---------------- allocation-free hot path ---------------- *)
+
+(* A loop that drives every issue path the figures lean on: indexed
+   loads and stores, a dependent divide chain (out-of-order backend
+   stalls once it outruns the ROB slack on fast_arm64; in-order stalls
+   on inorder_a55), a data-dependent branch over a pseudo-random bit
+   pattern (mispredicts), a taken back-edge, and fused compare+branch
+   pairs.  2000 iterations retire about 26k instructions. *)
+let alloc_iters = 2000
+
+let alloc_kernel () =
+  let i k = Insn.make k in
+  let alu op ~dst ~src rhs =
+    i (Insn.Alu { op; dst; src; rhs; set_flags = false })
+  in
+  Code.assemble ~code_id:0 ~name:"alloc" ~arch:Arch.Arm64 ~deopts:[||]
+    ~gp_slots:4 ~fp_slots:4 ~base_addr:0x100
+    [ i (Insn.Mov (0, Insn.Imm 0));
+      i (Insn.Mov (1, Insn.Imm 16)) (* word 8 *);
+      i (Insn.Mov (2, Insn.Imm 0));
+      i (Insn.Mov (7, Insn.Imm 1000003));
+      i (Insn.Label 0);
+      alu Insn.And ~dst:6 ~src:0 (Insn.Imm 127);
+      alu Insn.Lsl ~dst:6 ~src:6 (Insn.Imm 1);
+      i (Insn.Ldr (3, Insn.mk_addr ~index:6 1));
+      alu Insn.Sdiv ~dst:7 ~src:7 (Insn.Imm 1);
+      alu Insn.Mul ~dst:7 ~src:7 (Insn.Imm 1);
+      i (Insn.Cmp (3, Insn.Imm 0));
+      i (Insn.Bcond (Insn.Eq, 1));
+      alu Insn.Add ~dst:2 ~src:2 (Insn.Imm 3);
+      i (Insn.Label 1);
+      i (Insn.Str (Insn.mk_addr ~index:6 ~offset:256 1, 2));
+      alu Insn.Add ~dst:0 ~src:0 (Insn.Imm 1);
+      i (Insn.Cmp (0, Insn.Imm alloc_iters));
+      i (Insn.Bcond (Insn.Lt, 0));
+      i (Insn.Mov (0, Insn.Reg 2));
+      i Insn.Ret ]
+
+let alloc_memory () =
+  let m = Array.make 512 0 in
+  let x = ref 12345 in
+  for w = 8 to 8 + 127 do
+    x := ((!x * 1103515245) + 12345) land 0x3FFFFFFF;
+    m.(w) <- (!x lsr 16) land 1
+  done;
+  m
+
+(* ROADMAP's target for the decoded engine. *)
+let max_minor_words_per_insn = 0.1
+
+let test_alloc_bound () =
+  List.iter
+    (fun cfg ->
+      let sampler = Perf.create_sampler ~period:211.0 ~seed:1 in
+      let cpu = Cpu.create ~sampler cfg in
+      let host = { (null_host ()) with Exec.memory = alloc_memory () } in
+      let code = alloc_kernel () in
+      let run () =
+        match Decode.run cpu ~host ~code ~args:[||] with
+        | Exec.Done _ -> ()
+        | _ -> Alcotest.fail "expected Done"
+      in
+      (* The first run decodes the program; measure the second. *)
+      run ();
+      let c = cpu.Cpu.counters in
+      let insns0 = c.Perf.instructions
+      and mis0 = c.Perf.mispredicts
+      and fe0 = c.Perf.frontend_stall
+      and be0 = c.Perf.backend_stall
+      and samples0 = Perf.total_samples sampler in
+      let w0 = Gc.minor_words () in
+      run ();
+      let words = Gc.minor_words () -. w0 in
+      let insns = c.Perf.instructions - insns0 in
+      let name = cfg.Cpu.cfg_name in
+      let covers what b =
+        Alcotest.(check bool) (Printf.sprintf "%s: %s" name what) true b
+      in
+      covers "mispredicts" (c.Perf.mispredicts > mis0);
+      covers "frontend stalls" (c.Perf.frontend_stall > fe0);
+      covers "backend stalls" (c.Perf.backend_stall > be0);
+      covers "samples taken" (Perf.total_samples sampler > samples0);
+      let per_insn = words /. float_of_int insns in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.4f minor words/insn <= %.1f (%d insns)" name
+           per_insn max_minor_words_per_insn insns)
+        true
+        (per_insn <= max_minor_words_per_insn))
+    [ Cpu.fast_arm64; Cpu.inorder_a55 ]
+
 (* ---------------- predictor hot path ---------------- *)
 
 let test_predictor_golden () =
@@ -203,6 +293,8 @@ let suite =
           test_fresh_code_invalidation;
         Alcotest.test_case "dynamic fusion/batching counters" `Quick
           test_dynamic_coverage;
+        Alcotest.test_case "decoded hot path allocation bound" `Quick
+          test_alloc_bound;
         Alcotest.test_case "predictor matches golden model" `Quick
           test_predictor_golden;
         Alcotest.test_case "predictor converges on taken loop" `Quick

@@ -138,6 +138,135 @@ let test_injection_transparent () =
       Alcotest.(check string) "injected run digests equal to clean run" clean
         (digest_of ()))
 
+(* ---------------- stall publishing on every exit ---------------- *)
+
+(* Both engines keep the stall sums in [Cpu.clock] and copy them into
+   [Perf.counters] when a run exits.  These machine-level kernels leave
+   through each exit path — a deopt, a [Machine_fault] (the decoded
+   engine's refund path) and a return after a nested run on the same
+   CPU — and the published sums must agree bit for bit between the
+   engines, equal the clock's own sums, and be nonzero.  The kernels
+   come before the exit: a dependent divide chain (backend stalls) and
+   a taken back-edge (frontend stalls). *)
+
+let mk_code ?(deopts = [||]) ~code_id insns =
+  Code.assemble ~code_id ~name:(Printf.sprintf "stall%d" code_id)
+    ~arch:Arch.Arm64 ~deopts ~gp_slots:4 ~fp_slots:4
+    ~base_addr:(0x100 + (0x100 * code_id))
+    (List.map Insn.make insns)
+
+let stall_loop ~iters =
+  [ Insn.Mov (0, Insn.Imm 0);
+    Insn.Mov (7, Insn.Imm 1000003);
+    Insn.Label 0;
+    Insn.Alu { op = Insn.Sdiv; dst = 7; src = 7; rhs = Insn.Imm 1; set_flags = false };
+    Insn.Alu { op = Insn.Add; dst = 0; src = 0; rhs = Insn.Imm 1; set_flags = false };
+    Insn.Cmp (0, Insn.Imm iters);
+    Insn.Bcond (Insn.Lt, 0) ]
+
+let deopt_code () =
+  let deopts =
+    [| { Code.dp_id = 0; reason = Insn.Overflow; bc_pc = 0; frame = [||];
+         accumulator = Code.Fv_dead } |]
+  in
+  (* The deopt fires mid-block, after the loop. *)
+  mk_code ~deopts ~code_id:0
+    (stall_loop ~iters:40
+    @ [ Insn.Cmp (0, Insn.Imm 40); Insn.Deopt_if (Insn.Eq, 0);
+        Insn.Mov (1, Insn.Imm 1); Insn.Ret ])
+
+let fault_code () =
+  (* A load far outside memory faults after the loop. *)
+  mk_code ~code_id:0
+    (stall_loop ~iters:40
+    @ [ Insn.Mov (1, Insn.Imm 1_000_000); Insn.Ldr (2, Insn.mk_addr 1);
+        Insn.Mov (3, Insn.Imm 1); Insn.Ret ])
+
+let outer_code () =
+  (* JIT -> JS -> JIT: stalls, a call into [inner_code], more stalls. *)
+  mk_code ~code_id:0
+    (stall_loop ~iters:20
+    @ [ Insn.Call (Insn.Js_code 1, 0); Insn.Label 1;
+        Insn.Alu { op = Insn.Sdiv; dst = 7; src = 7; rhs = Insn.Imm 1; set_flags = false };
+        Insn.Alu { op = Insn.Add; dst = 0; src = 0; rhs = Insn.Imm 1; set_flags = false };
+        Insn.Cmp (0, Insn.Imm 40); Insn.Bcond (Insn.Lt, 1); Insn.Ret ])
+
+let inner_code () = mk_code ~code_id:1 (stall_loop ~iters:30 @ [ Insn.Ret ])
+
+let stalls (cpu : Cpu.t) =
+  let c = cpu.Cpu.counters in
+  (c.Perf.frontend_stall, c.Perf.backend_stall)
+
+(* [run engine cfg] -> the published sums after each observed exit. *)
+let run_exits engine cfg ~code ~nested =
+  Exec.set_engine (Some engine);
+  Fun.protect
+    ~finally:(fun () -> Exec.set_engine None)
+    (fun () ->
+      let cpu = Cpu.create cfg in
+      let seen = ref [] in
+      let rec host =
+        {
+          Exec.memory = Array.make 64 0;
+          call_builtin = (fun _ _ -> 0);
+          call_js =
+            (fun _ _ ->
+              ignore (Exec.run cpu ~host ~code:(nested ()) ~args:[||]);
+              seen := stalls cpu :: !seen;
+              0);
+        }
+      in
+      (match Exec.run cpu ~host ~code ~args:[||] with
+      | _ -> ()
+      | exception Exec.Machine_fault _ -> ());
+      let clk = cpu.Cpu.clk in
+      Alcotest.(check bool) "published sums equal the clock's" true
+        (stalls cpu = (clk.Cpu.frontend_stall, clk.Cpu.backend_stall));
+      List.rev (stalls cpu :: !seen))
+
+let bits (fe, be) = (Int64.bits_of_float fe, Int64.bits_of_float be)
+
+let check_exit name ?(nested = inner_code) code =
+  List.iter
+    (fun cfg ->
+      let label = Printf.sprintf "%s on %s" name cfg.Cpu.cfg_name in
+      let direct = run_exits Exec.Direct cfg ~code:(code ()) ~nested in
+      let decoded = run_exits Exec.Decoded cfg ~code:(code ()) ~nested in
+      List.iter
+        (fun (fe, be) ->
+          Alcotest.(check bool) (label ^ ": nonzero stalls") true
+            (fe > 0.0 && be > 0.0))
+        direct;
+      Alcotest.(check (list (pair int64 int64)))
+        (label ^ ": decoded stalls = direct, bit for bit")
+        (List.map bits direct) (List.map bits decoded))
+    [ Cpu.fast_arm64; Cpu.inorder_a55 ]
+
+let run_plain code =
+  let host =
+    { Exec.memory = Array.make 64 0; call_builtin = (fun _ _ -> 0);
+      call_js = (fun _ _ -> 0) }
+  in
+  Decode.run (Cpu.create Cpu.fast_arm64) ~host ~code ~args:[||]
+
+let test_stalls_deopt () =
+  check_exit "deopt exit" deopt_code;
+  (* Sanity: the kernel really leaves through its deopt. *)
+  match run_plain (deopt_code ()) with
+  | Exec.Deopt _ -> ()
+  | Exec.Done _ -> Alcotest.fail "expected a deopt"
+
+let test_stalls_fault () =
+  check_exit "machine fault" fault_code;
+  match run_plain (fault_code ()) with
+  | _ -> Alcotest.fail "expected a machine fault"
+  | exception Exec.Machine_fault _ -> ()
+
+let test_stalls_nested () =
+  (* Two observations: after the inner run returns (its publish) and
+     after the outer run, which kept accumulating past it. *)
+  check_exit "nested JIT -> JS -> JIT call" outer_code
+
 let suite =
   [
     ( "exec-determinism",
@@ -149,5 +278,11 @@ let suite =
         Alcotest.test_case "smi-ext variant" `Quick test_smi_ext_cell;
         Alcotest.test_case "fault injection is transparent" `Quick
           test_injection_transparent;
+        Alcotest.test_case "stalls published on deopt exit" `Quick
+          test_stalls_deopt;
+        Alcotest.test_case "stalls published on machine fault" `Quick
+          test_stalls_fault;
+        Alcotest.test_case "stalls published around nested run" `Quick
+          test_stalls_nested;
       ] );
   ]
