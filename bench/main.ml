@@ -46,7 +46,7 @@ let micro_tests () =
     let v = Heap.cell_value h (Heap.global_cell h "dot") in
     Runtime.func rt (Heap.function_id_of h v)
   in
-  let gc_heap = Heap.create ~size_words:(1 lsl 18) () in
+  let gc_heap = Heap.create ~size_words:(1 lsl 18) in
   Test.make_grouped ~name:"vspec"
     [
       Test.make ~name:"interp-iteration-DP"
@@ -240,7 +240,7 @@ type exec_meas = {
 let measure_exec ?(decoded = false) run code =
   let cpu = Cpu.create Cpu.fast_arm64 in
   let host =
-    { Exec.memory = Array.make 64 0;
+    { Exec.memory = Memory.create 64;
       call_builtin = (fun _ _ -> 0);
       call_js = (fun _ _ -> 0) }
   in

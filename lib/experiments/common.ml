@@ -305,11 +305,10 @@ let clear_memo () =
 (* Guarded cell execution                                              *)
 (* ------------------------------------------------------------------ *)
 
-let verify_enabled =
-  lazy
-    (match Sys.getenv_opt "VSPEC_VERIFY" with
-    | Some ("1" | "on" | "true" | "yes") -> true
-    | _ -> false)
+let verify_enabled () =
+  match Sys.getenv_opt "VSPEC_VERIFY" with
+  | Some ("1" | "on" | "true" | "yes") -> true
+  | _ -> false
 
 (* [run_result] is the one entry point that actually simulates: it
    checks the negative cache, then computes under single-flight memo
@@ -361,10 +360,11 @@ let rec run_result ?cpu ?iterations:iters ~arch ~seed variant bench =
       Error err)
 
 (* Checksum verification (opt-in via VSPEC_VERIFY) compares a run
-   against the interpreter-only reference.  Only configurations that
-   preserve semantics are checkable — check-removal and
-   element-trusting variants are *expected* to diverge (paper Fig 10),
-   and the reference cell itself (V_interp_only) must never verify
+   against the interpreter-only reference at the same iteration count
+   (some programs, e.g. AES2, carry state between iterations).  Only
+   configurations that preserve semantics are checkable — check-removal
+   and element-trusting variants are *expected* to diverge (paper Fig
+   10), and the reference cell itself (V_interp_only) must never verify
    against itself or the memo producer would deadlock on re-entry. *)
 and verify variant ~cell (r : Harness.result) bench =
   let checkable =
@@ -373,8 +373,8 @@ and verify variant ~cell (r : Harness.result) bench =
     | V_no_checks _ | V_no_branches | V_interp_only | V_smi_ext
     | V_trust_elements | V_fuse_maps -> false
   in
-  if checkable && Lazy.force verify_enabled && r.Harness.error = None then begin
-    let expected = reference_checksum bench in
+  if checkable && verify_enabled () && r.Harness.error = None then begin
+    let expected = reference_checksum ~iterations:r.Harness.iterations bench in
     let got = r.Harness.checksum in
     let same = (Float.is_nan expected && Float.is_nan got) || expected = got in
     if not same then
@@ -383,11 +383,12 @@ and verify variant ~cell (r : Harness.result) bench =
            (Support.Fault.Checksum_mismatch { cell; expected; got }))
   end
 
-and reference_checksum bench =
-  Support.Pool.Memo.find_or_compute ref_cache bench.Workloads.Suite.id
+and reference_checksum ~iterations bench =
+  Support.Pool.Memo.find_or_compute ref_cache
+    (Printf.sprintf "%s|%d" bench.Workloads.Suite.id iterations)
     (fun () ->
       match
-        run_result ~iterations:3 ~arch:Arch.Arm64 ~seed:1 V_interp_only bench
+        run_result ~iterations ~arch:Arch.Arm64 ~seed:1 V_interp_only bench
       with
       | Ok r -> r.Harness.checksum
       | Error err -> raise (Support.Fault.Fault err))

@@ -68,10 +68,11 @@ val removable_groups :
   Insn.check_group list * Insn.check_group list
 (** Raising variant of {!removable_groups_result}. *)
 
-val reference_checksum : Workloads.Suite.benchmark -> float
-(** Interpreter-only checksum used to validate every configuration
-    (compared by the opt-in [VSPEC_VERIFY] pass for semantics-preserving
-    variants). *)
+val reference_checksum : iterations:int -> Workloads.Suite.benchmark -> float
+(** Interpreter-only checksum after [iterations] iterations, used to
+    validate every configuration (compared by the opt-in [VSPEC_VERIFY]
+    pass for semantics-preserving variants, at the cell's own iteration
+    count: some programs, e.g. AES2, carry state between iterations). *)
 
 val degraded : string -> (unit -> unit) -> unit
 (** [degraded name f] runs [f]; a [Support.Fault.Fault] escaping it is

@@ -25,7 +25,7 @@ type map_info = {
 exception Out_of_memory
 
 type t = {
-  mem : int array;
+  mem : Machine.Memory.t;
   size : int;
   mutable bump : int;
   mutable free_list : (int * int) list;  (* (index, size), address-ordered *)
@@ -150,9 +150,9 @@ let register_map t ~itype ~prototype ~elements_kind =
   let meta_ptr =
     if t.n_maps = 1 then map_ptr else t.maps.(t.meta_map).map_ptr
   in
-  t.mem.(idx) <- meta_ptr;
-  t.mem.(idx + 1) <- Value.smi map_id;
-  t.mem.(idx + 2) <- Value.smi (instance_type_code itype);
+  t.mem.{idx} <- meta_ptr;
+  t.mem.{idx + 1} <- Value.smi map_id;
+  t.mem.{idx + 2} <- Value.smi (instance_type_code itype);
   map_id
 
 let map_info_by_id t id = t.maps.(id)
@@ -160,7 +160,7 @@ let map_id_of_map_ptr t ptr = Hashtbl.find t.map_ptr_to_id (Value.pointer_index 
 
 let map_of t ptr =
   let idx = Value.pointer_index ptr in
-  let map_ptr = t.mem.(idx) in
+  let map_ptr = t.mem.{idx} in
   t.maps.(Hashtbl.find t.map_ptr_to_id (Value.pointer_index map_ptr))
 
 let instance_type_of t ptr = (map_of t ptr).itype
@@ -169,20 +169,20 @@ let instance_type_of t ptr = (map_of t ptr).itype
 
 let alloc_with_map t map_id size =
   let idx = alloc_raw t size in
-  t.mem.(idx) <- t.maps.(map_id).map_ptr;
+  t.mem.{idx} <- t.maps.(map_id).map_ptr;
   idx
 
 let alloc_oddball t kind =
   let idx = alloc_with_map t t.oddball_map 2 in
-  t.mem.(idx + 1) <- Value.smi kind;
+  t.mem.{idx + 1} <- Value.smi kind;
   Value.pointer idx
 
 (* ---------------- Creation / boot ---------------- *)
 
-let create ?(size_words = 8 * 1024 * 1024) () =
+let create ~size_words =
   let t =
     {
-      mem = Array.make size_words 0;
+      mem = Machine.Memory.create size_words;
       size = size_words;
       bump = 8; (* keep low addresses unused so address 0 is never valid *)
       free_list = [];
@@ -260,29 +260,29 @@ let is_truthy_oddball t v =
 
 (* ---------------- Field access ---------------- *)
 
-let load t ptr k = t.mem.(Value.pointer_index ptr + k)
-let store t ptr k v = t.mem.(Value.pointer_index ptr + k) <- v
+let load t ptr k = t.mem.{Value.pointer_index ptr + k}
+let store t ptr k v = t.mem.{Value.pointer_index ptr + k} <- v
 
 (* ---------------- Numbers ---------------- *)
 
 let alloc_heap_number t v =
   let idx = alloc_with_map t t.heap_number_map 3 in
   let bits = Int64.bits_of_float v in
-  t.mem.(idx + 1) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-  t.mem.(idx + 2) <- Int64.to_int (Int64.shift_right_logical bits 32);
+  t.mem.{idx + 1} <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+  t.mem.{idx + 2} <- Int64.to_int (Int64.shift_right_logical bits 32);
   Value.pointer idx
 
 let heap_number_value t ptr =
   let idx = Value.pointer_index ptr in
-  let lo = Int64.of_int (t.mem.(idx + 1) land 0xFFFFFFFF) in
-  let hi = Int64.of_int (t.mem.(idx + 2) land 0xFFFFFFFF) in
+  let lo = Int64.of_int (t.mem.{idx + 1} land 0xFFFFFFFF) in
+  let hi = Int64.of_int (t.mem.{idx + 2} land 0xFFFFFFFF) in
   Int64.float_of_bits (Int64.logor lo (Int64.shift_left hi 32))
 
 let set_heap_number t ptr v =
   let idx = Value.pointer_index ptr in
   let bits = Int64.bits_of_float v in
-  t.mem.(idx + 1) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-  t.mem.(idx + 2) <- Int64.to_int (Int64.shift_right_logical bits 32)
+  t.mem.{idx + 1} <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+  t.mem.{idx + 2} <- Int64.to_int (Int64.shift_right_logical bits 32)
 
 let is_number t v =
   Value.is_smi v || instance_type_of t v = It_heap_number
@@ -302,10 +302,10 @@ let number t f =
 let alloc_string t s =
   let n = String.length s in
   let idx = alloc_with_map t t.string_map (string_chars_field + n) in
-  t.mem.(idx + string_length_field) <- Value.smi n;
-  t.mem.(idx + 2) <- Value.smi (Hashtbl.hash s land 0x3FFFFFF);
+  t.mem.{idx + string_length_field} <- Value.smi n;
+  t.mem.{idx + 2} <- Value.smi (Hashtbl.hash s land 0x3FFFFFF);
   for i = 0 to n - 1 do
-    t.mem.(idx + string_chars_field + i) <- Value.smi (Char.code s.[i])
+    t.mem.{idx + string_chars_field + i} <- Value.smi (Char.code s.[i])
   done;
   Value.pointer idx
 
@@ -337,9 +337,9 @@ let new_object_map t ~prototype =
 
 let alloc_object t ~map_id =
   let idx = alloc_with_map t map_id object_words in
-  t.mem.(idx + object_props_field) <- t.undef;
+  t.mem.{idx + object_props_field} <- t.undef;
   for i = 0 to inline_slots - 1 do
-    t.mem.(idx + object_inline_base + i) <- t.undef
+    t.mem.{idx + object_inline_base + i} <- t.undef
   done;
   Value.pointer idx
 
@@ -349,9 +349,9 @@ let own_slot (info : map_info) name = List.assoc_opt name info.props
 
 let alloc_fixed_array t capacity init =
   let idx = alloc_with_map t t.fixed_array_map (elements_header + capacity) in
-  t.mem.(idx + 1) <- Value.smi capacity;
+  t.mem.{idx + 1} <- Value.smi capacity;
   for i = 0 to capacity - 1 do
-    t.mem.(idx + elements_header + i) <- init
+    t.mem.{idx + elements_header + i} <- init
   done;
   Value.pointer idx
 
@@ -445,11 +445,11 @@ let alloc_double_elements t capacity =
   let idx =
     alloc_with_map t t.fixed_double_array_map (elements_header + (2 * capacity))
   in
-  t.mem.(idx + 1) <- Value.smi capacity;
+  t.mem.{idx + 1} <- Value.smi capacity;
   for i = 0 to capacity - 1 do
     (* 0.0 bits *)
-    t.mem.(idx + elements_header + (2 * i)) <- 0;
-    t.mem.(idx + elements_header + (2 * i) + 1) <- 0
+    t.mem.{idx + elements_header + (2 * i)} <- 0;
+    t.mem.{idx + elements_header + (2 * i) + 1} <- 0
   done;
   Value.pointer idx
 
@@ -467,9 +467,9 @@ let alloc_array t kind ~capacity =
     | Packed_smi | Packed_tagged -> alloc_fixed_array t capacity Value.zero
   in
   let idx = alloc_with_map t map_id array_words in
-  t.mem.(idx + array_length_field) <- Value.smi 0;
-  t.mem.(idx + array_elements_field) <- elements;
-  t.mem.(idx + array_props_field) <- t.undef;
+  t.mem.{idx + array_length_field} <- Value.smi 0;
+  t.mem.{idx + array_elements_field} <- elements;
+  t.mem.{idx + array_props_field} <- t.undef;
   Value.pointer idx
 
 let array_length t arr = Value.smi_value (load t arr array_length_field)
@@ -483,15 +483,15 @@ let elements_capacity t elements = Value.smi_value (load t elements 1)
 
 let read_double_element t elements i =
   let idx = Value.pointer_index elements + elements_header + (2 * i) in
-  let lo = Int64.of_int (t.mem.(idx) land 0xFFFFFFFF) in
-  let hi = Int64.of_int (t.mem.(idx + 1) land 0xFFFFFFFF) in
+  let lo = Int64.of_int (t.mem.{idx} land 0xFFFFFFFF) in
+  let hi = Int64.of_int (t.mem.{idx + 1} land 0xFFFFFFFF) in
   Int64.float_of_bits (Int64.logor lo (Int64.shift_left hi 32))
 
 let write_double_element t elements i v =
   let idx = Value.pointer_index elements + elements_header + (2 * i) in
   let bits = Int64.bits_of_float v in
-  t.mem.(idx) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-  t.mem.(idx + 1) <- Int64.to_int (Int64.shift_right_logical bits 32)
+  t.mem.{idx} <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+  t.mem.{idx + 1} <- Int64.to_int (Int64.shift_right_logical bits 32)
 
 let array_get t arr i =
   let len = array_length t arr in
@@ -614,9 +614,9 @@ let function_map_id t = t.function_map
 
 let alloc_function t ~function_id ~context =
   let idx = alloc_with_map t t.function_map 4 in
-  t.mem.(idx + function_id_field) <- Value.smi function_id;
-  t.mem.(idx + function_context_field) <- context;
-  t.mem.(idx + function_prototype_field) <- t.undef;
+  t.mem.{idx + function_id_field} <- Value.smi function_id;
+  t.mem.{idx + function_context_field} <- context;
+  t.mem.{idx + function_prototype_field} <- t.undef;
   Value.pointer idx
 
 let is_function t v = Value.is_pointer v && instance_type_of t v = It_function
@@ -634,10 +634,10 @@ let function_prototype t f =
 
 let alloc_context t ~parent ~slots =
   let idx = alloc_with_map t t.context_map (context_slots_field + slots) in
-  t.mem.(idx + 1) <- Value.smi slots;
-  t.mem.(idx + context_parent_field) <- parent;
+  t.mem.{idx + 1} <- Value.smi slots;
+  t.mem.{idx + context_parent_field} <- parent;
   for i = 0 to slots - 1 do
-    t.mem.(idx + context_slots_field + i) <- t.undef
+    t.mem.{idx + context_slots_field + i} <- t.undef
   done;
   Value.pointer idx
 
@@ -652,7 +652,7 @@ let global_cell t name =
   | Some c -> c
   | None ->
     let idx = alloc_with_map t t.cell_map 2 in
-    t.mem.(idx + 1) <- t.undef;
+    t.mem.{idx + 1} <- t.undef;
     let ptr = Value.pointer idx in
     Hashtbl.replace t.globals name ptr;
     ptr
@@ -664,28 +664,28 @@ let global_exists t name = Hashtbl.mem t.globals name
 (* ---------------- Garbage collection ---------------- *)
 
 let object_size_at t idx =
-  let map_ptr = t.mem.(idx) in
+  let map_ptr = t.mem.{idx} in
   let info = t.maps.(Hashtbl.find t.map_ptr_to_id (Value.pointer_index map_ptr)) in
   match info.itype with
   | It_map -> 3
   | It_oddball -> 2
   | It_heap_number -> 3
-  | It_string -> string_chars_field + Value.smi_value (t.mem.(idx + string_length_field))
+  | It_string -> string_chars_field + Value.smi_value (t.mem.{idx + string_length_field})
   | It_fixed_array ->
     if info.map_id = t.cell_map then 2
-    else elements_header + Value.smi_value t.mem.(idx + 1)
-  | It_fixed_double_array -> elements_header + (2 * Value.smi_value t.mem.(idx + 1))
+    else elements_header + Value.smi_value t.mem.{idx + 1}
+  | It_fixed_double_array -> elements_header + (2 * Value.smi_value t.mem.{idx + 1})
   | It_object -> object_words
   | It_array -> array_words
   | It_function -> 4
-  | It_context -> context_slots_field + Value.smi_value t.mem.(idx + 1)
+  | It_context -> context_slots_field + Value.smi_value t.mem.{idx + 1}
 
 let object_size t ptr = object_size_at t (Value.pointer_index ptr)
 
 (* Which fields of an object hold tagged words (candidates for marking).
    SMIs are tagged too and are skipped by the marker naturally. *)
 let scan_fields t idx f =
-  let map_ptr = t.mem.(idx) in
+  let map_ptr = t.mem.{idx} in
   f map_ptr;
   let info = t.maps.(Hashtbl.find t.map_ptr_to_id (Value.pointer_index map_ptr)) in
   match info.itype with
@@ -694,26 +694,26 @@ let scan_fields t idx f =
   | It_fixed_double_array -> () (* raw payload *)
   | It_fixed_array ->
     let n = if info.map_id = t.cell_map then 1 else
-      Value.smi_value t.mem.(idx + 1) + 1 (* capacity word is an SMI; harmless *)
+      Value.smi_value t.mem.{idx + 1} + 1 (* capacity word is an SMI; harmless *)
     in
     for k = 1 to n do
-      f t.mem.(idx + k)
+      f t.mem.{idx + k}
     done
   | It_object ->
     for k = 1 to object_words - 1 do
-      f t.mem.(idx + k)
+      f t.mem.{idx + k}
     done
   | It_array ->
-    f t.mem.(idx + array_elements_field);
-    f t.mem.(idx + array_props_field)
+    f t.mem.{idx + array_elements_field};
+    f t.mem.{idx + array_props_field}
   | It_function ->
-    f t.mem.(idx + function_context_field);
-    f t.mem.(idx + function_prototype_field)
+    f t.mem.{idx + function_context_field};
+    f t.mem.{idx + function_prototype_field}
   | It_context ->
-    let n = Value.smi_value t.mem.(idx + 1) in
-    f t.mem.(idx + context_parent_field);
+    let n = Value.smi_value t.mem.{idx + 1} in
+    f t.mem.{idx + context_parent_field};
     for k = 0 to n - 1 do
-      f t.mem.(idx + context_slots_field + k)
+      f t.mem.{idx + context_slots_field + k}
     done
 
 let add_root_provider t p = t.root_providers <- p :: t.root_providers

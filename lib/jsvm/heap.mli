@@ -1,4 +1,5 @@
-(** The VM heap: a flat array of tagged 32-bit words.
+(** The VM heap: a flat array of tagged 32-bit words, held in a
+    {!Machine.Memory.t} that machine code addresses directly.
 
     Layouts mirror V8's compressed heap.  Every object starts with a
     tagged pointer to its {e map} (hidden class).  Maps describe object
@@ -53,8 +54,8 @@ type t
 
 exception Out_of_memory
 
-val create : ?size_words:int -> unit -> t
-val memory : t -> int array
+val create : size_words:int -> t
+val memory : t -> Machine.Memory.t
 
 val set_on_full : t -> (unit -> bool) -> unit
 (** Called when allocation fails; return [true] if space was freed

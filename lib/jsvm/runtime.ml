@@ -47,8 +47,8 @@ let materialize_consts t (f : func_rt) =
     vals
   end
 
-let create ?(heap_size = 8 * 1024 * 1024) ?(seed = 42) (u : Bcompiler.unit_) =
-  let heap = Heap.create ~size_words:heap_size () in
+let create ~heap_size ?(seed = 42) (u : Bcompiler.unit_) =
+  let heap = Heap.create ~size_words:heap_size in
   let funcs =
     Array.map
       (fun info ->

@@ -47,7 +47,7 @@ type t = {
 
 and frame = { f_regs : int array; mutable f_acc : int }
 
-val create : ?heap_size:int -> ?seed:int -> Bcompiler.unit_ -> t
+val create : heap_size:int -> ?seed:int -> Bcompiler.unit_ -> t
 (** Builds the runtime, materializes constants lazily, installs default
     (no-op) hooks, and registers GC root providers for frames, constant
     pools and builtin globals. *)

@@ -31,7 +31,7 @@
    engines. *)
 
 type host = {
-  memory : int array;
+  memory : Memory.t;
   call_builtin : int -> int array -> int;
   call_js : int -> int array -> int;
 }
@@ -100,7 +100,7 @@ type st = {
   fslots : float array;
   rr : float array;
   fr : float array;
-  mem : int array;
+  mem : Memory.t;
   host : host;
   mutable scratch : int array array;
       (* per-argc call-argument buffers, allocated on first Call *)
@@ -405,13 +405,13 @@ let refund st (d : delta) =
 let[@inline] mem_index st name a =
   if a land 1 <> 0 then fault "%s: unaligned address %d" name a;
   let i = a asr 1 in
-  if i < 0 || i >= Array.length st.mem then
+  if i < 0 || i >= Bigarray.Array1.dim st.mem then
     fault "%s: address %d out of range" name a;
   i
 
 (* Second word of a two-word (float) access; [i0] has been checked. *)
 let[@inline] mem_index2 st name a i0 =
-  if i0 + 1 >= Array.length st.mem then
+  if i0 + 1 >= Bigarray.Array1.dim st.mem then
     fault "%s: address %d out of range" name (a + 2);
   i0 + 1
 
@@ -876,7 +876,7 @@ let compile (code : Code.t) : program =
         fun st ->
           let ea = rget st b + off in
           let t = issue_load st ~ready:(tget st b) ~addr:ea in
-          rset st d (Array.unsafe_get st.mem (mem_index st name ea));
+          rset st d (Bigarray.Array1.unsafe_get st.mem (mem_index st name ea));
           tset st d t;
           next
       | Some _ ->
@@ -884,7 +884,7 @@ let compile (code : Code.t) : program =
         fun st ->
           let ea = ea st in
           let t = issue_load st ~ready:(aready st ab ai) ~addr:ea in
-          rset st d (Array.unsafe_get st.mem (mem_index st name ea));
+          rset st d (Bigarray.Array1.unsafe_get st.mem (mem_index st name ea));
           tset st d t;
           next)
     | Insn.Str (a, s) -> (
@@ -896,7 +896,7 @@ let compile (code : Code.t) : program =
           let ea = rget st b + off in
           let ready = fmax (tget st b) (tget st s) in
           issue_store st ~ready ~addr:ea;
-          Array.unsafe_set st.mem (mem_index st name ea) (rget st s);
+          Bigarray.Array1.unsafe_set st.mem (mem_index st name ea) (rget st s);
           next
       | Some _ ->
         let ea = eff a and ab, ai = aregs a in
@@ -904,7 +904,7 @@ let compile (code : Code.t) : program =
           let ea = ea st in
           let ready = fmax (aready st ab ai) (tget st s) in
           issue_store st ~ready ~addr:ea;
-          Array.unsafe_set st.mem (mem_index st name ea) (rget st s);
+          Bigarray.Array1.unsafe_set st.mem (mem_index st name ea) (rget st s);
           next)
     | Insn.Ldr_f (d, a) ->
       let d = vfreg d in
@@ -914,8 +914,8 @@ let compile (code : Code.t) : program =
         let t = issue_load st ~ready:(aready st ab ai) ~addr:ea in
         let i0 = mem_index st name ea in
         let i1 = mem_index2 st name ea i0 in
-        let lo = Int64.of_int (st.mem.(i0) land 0xFFFFFFFF) in
-        let hi = Int64.of_int (st.mem.(i1) land 0xFFFFFFFF) in
+        let lo = Int64.of_int (st.mem.{i0} land 0xFFFFFFFF) in
+        let hi = Int64.of_int (st.mem.{i1} land 0xFFFFFFFF) in
         st.fregs.(d) <-
           Int64.float_of_bits (Int64.logor lo (Int64.shift_left hi 32));
         st.fr.(d) <- t;
@@ -930,8 +930,8 @@ let compile (code : Code.t) : program =
         let bits = Int64.bits_of_float st.fregs.(s) in
         let i0 = mem_index st name ea in
         let i1 = mem_index2 st name ea i0 in
-        st.mem.(i0) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-        st.mem.(i1) <- Int64.to_int (Int64.shift_right_logical bits 32);
+        st.mem.{i0} <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+        st.mem.{i1} <- Int64.to_int (Int64.shift_right_logical bits 32);
         next
     | Insn.Alu { op; dst; src; rhs; set_flags } -> (
       let cls =
@@ -1016,7 +1016,7 @@ let compile (code : Code.t) : program =
         let ea = ea st in
         let ready = fmax st.rr.(src) (aready st ab ai) in
         let t = issue_load st ~ready ~addr:ea in
-        let b = st.mem.(mem_index st name ea) in
+        let b = st.mem.{mem_index st name ea} in
         let av = st.regs.(src) in
         let raw =
           match op with
@@ -1056,7 +1056,7 @@ let compile (code : Code.t) : program =
         let eav = ea st in
         let ready = fmax st.rr.(a) (aready st ab ai) in
         let t = issue_load st ~ready ~addr:eav in
-        let bv = st.mem.(mem_index st name eav) in
+        let bv = st.mem.{mem_index st name eav} in
         let av = st.regs.(a) in
         set_add_sub_flags st av bv (av - bv) true;
         st.clk.Cpu.flags_ready <- t +. 1.0;
@@ -1186,7 +1186,7 @@ let compile (code : Code.t) : program =
         let ea = ea st in
         let t = issue_load st ~ready:(aready st ab ai) ~addr:ea in
         let t = t +. st.cpu.Cpu.cfg.Cpu.smi_load_extra in
-        let w = st.mem.(mem_index st name ea) in
+        let w = st.mem.{mem_index st name ea} in
         if w land 1 <> 0 then begin
           (* Check failed: write REG_PC / REG_RE; commit triggers the
              bailout through the handler at REG_BA. *)
@@ -1221,7 +1221,7 @@ let compile (code : Code.t) : program =
       fun st ->
         let ea = ea st in
         retire st (load_complete st ~ready:(aready st ab ai) ~addr:ea);
-        let w = st.mem.(mem_index st name ea) in
+        let w = st.mem.{mem_index st name ea} in
         if w <> expected then begin
           st.regs.(reg_pc) <- bpc;
           st.regs.(reg_re) <- rcode;
@@ -1425,7 +1425,7 @@ let compile (code : Code.t) : program =
       fun st ->
         let ea = rget st b + off in
         let t = issue_load st ~ready:(tget st b) ~addr:ea in
-        let w = Array.unsafe_get st.mem (mem_index st name ea) in
+        let w = Bigarray.Array1.unsafe_get st.mem (mem_index st name ea) in
         rset st d w;
         tset st d t;
         if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
@@ -1438,7 +1438,7 @@ let compile (code : Code.t) : program =
       fun st ->
         let eav = ea st in
         let t = issue_load st ~ready:(aready st ab ai) ~addr:eav in
-        let w = Array.unsafe_get st.mem (mem_index st name eav) in
+        let w = Bigarray.Array1.unsafe_get st.mem (mem_index st name eav) in
         rset st d w;
         tset st d t;
         if st.sampling then st.cpu.Cpu.cur_pc <- pc2;

@@ -32,7 +32,7 @@
     the historical names so existing call sites compile unchanged. *)
 
 type host = {
-  memory : int array;
+  memory : Memory.t;
   call_builtin : int -> int array -> int;
       (** [call_builtin id args] with [args] = r0..r(argc-1); must
           charge its own cost on the shared CPU; returns the tagged

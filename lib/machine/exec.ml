@@ -4,7 +4,7 @@
    The two must stay bit-identical — see the exec-determinism tests. *)
 
 type host = Decode.host = {
-  memory : int array;
+  memory : Memory.t;
   call_builtin : int -> int array -> int;
   call_js : int -> int array -> int;
 }
@@ -79,13 +79,13 @@ let run_direct (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
   let mem_index a =
     if a land 1 <> 0 then fault "%s: unaligned address %d" code.Code.name a;
     let i = a asr 1 in
-    if i < 0 || i >= Array.length mem then
+    if i < 0 || i >= Bigarray.Array1.dim mem then
       fault "%s: address %d out of range" code.Code.name a;
     i
   in
   (* Second word of a two-word (float) access; [i0] has been checked. *)
   let mem_index2 a i0 =
-    if i0 + 1 >= Array.length mem then
+    if i0 + 1 >= Bigarray.Array1.dim mem then
       fault "%s: address %d out of range" code.Code.name (a + 2);
     i0 + 1
   in
@@ -185,20 +185,20 @@ let run_direct (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
        | Insn.Ldr (d, a) ->
          let ea = eff_addr a in
          let t = Cpu.issue_load cpu ~ready:(addr_ready a) ~addr:ea in
-         regs.(d) <- mem.(mem_index ea);
+         regs.(d) <- mem.{mem_index ea};
          rr.(d) <- t
        | Insn.Str (a, s) ->
          let ea = eff_addr a in
          let ready = Float.max (addr_ready a) rr.(s) in
          ignore (Cpu.issue_store cpu ~ready ~addr:ea);
-         mem.(mem_index ea) <- regs.(s)
+         mem.{mem_index ea} <- regs.(s)
        | Insn.Ldr_f (d, a) ->
          let ea = eff_addr a in
          let t = Cpu.issue_load cpu ~ready:(addr_ready a) ~addr:ea in
          let i0 = mem_index ea in
          let i1 = mem_index2 ea i0 in
-         let lo = Int64.of_int (mem.(i0) land 0xFFFFFFFF) in
-         let hi = Int64.of_int (mem.(i1) land 0xFFFFFFFF) in
+         let lo = Int64.of_int (mem.{i0} land 0xFFFFFFFF) in
+         let hi = Int64.of_int (mem.{i1} land 0xFFFFFFFF) in
          fregs.(d) <- Int64.float_of_bits (Int64.logor lo (Int64.shift_left hi 32));
          fr.(d) <- t
        | Insn.Str_f (a, s) ->
@@ -208,8 +208,8 @@ let run_direct (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
          let bits = Int64.bits_of_float fregs.(s) in
          let i0 = mem_index ea in
          let i1 = mem_index2 ea i0 in
-         mem.(i0) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-         mem.(i1) <- Int64.to_int (Int64.shift_right_logical bits 32)
+         mem.{i0} <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+         mem.{i1} <- Int64.to_int (Int64.shift_right_logical bits 32)
        | Insn.Alu { op; dst; src; rhs; set_flags } ->
          let a = regs.(src) and b = operand_value rhs in
          let ready = Float.max rr.(src) (operand_ready rhs) in
@@ -260,7 +260,7 @@ let run_direct (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
          let ea = eff_addr a in
          let ready = Float.max rr.(src) (addr_ready a) in
          let t = Cpu.issue_load cpu ~ready ~addr:ea in
-         let b = mem.(mem_index ea) in
+         let b = mem.{mem_index ea} in
          let av = regs.(src) in
          let raw =
            match op with
@@ -287,7 +287,7 @@ let run_direct (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
          let ea = eff_addr m in
          let ready = Float.max rr.(a) (addr_ready m) in
          let t = Cpu.issue_load cpu ~ready ~addr:ea in
-         let bv = mem.(mem_index ea) in
+         let bv = mem.{mem_index ea} in
          let av = regs.(a) in
          set_add_sub_flags av bv (av - bv) true;
          cpu.Cpu.clk.Cpu.flags_ready <- t +. 1.0
@@ -389,7 +389,7 @@ let run_direct (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
            Cpu.issue_load cpu ~ready:(addr_ready a) ~addr:ea
          in
          let t = t +. cpu.Cpu.cfg.Cpu.smi_load_extra in
-         let w = mem.(mem_index ea) in
+         let w = mem.{mem_index ea} in
          if w land 1 <> 0 then begin
            (* Check failed: write REG_PC / REG_RE; commit triggers the
               bailout through the handler at REG_BA. *)
@@ -418,7 +418,7 @@ let run_direct (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
             unit; branch-free bailout like jsldrsmi. *)
          let ea = eff_addr a in
          ignore (Cpu.issue_load cpu ~ready:(addr_ready a) ~addr:ea);
-         let w = mem.(mem_index ea) in
+         let w = mem.{mem_index ea} in
          if w <> expected then begin
            let point = code.Code.deopts.(deopt) in
            regs.(reg_pc) <- base + !pc;

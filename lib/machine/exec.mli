@@ -30,7 +30,7 @@
     {!set_engine}. *)
 
 type host = Decode.host = {
-  memory : int array;
+  memory : Memory.t;
   call_builtin : int -> int array -> int;
       (** [call_builtin id args] with [args] = r0..r(argc-1); must
           charge its own cost on the shared CPU; returns the tagged

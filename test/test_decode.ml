@@ -66,7 +66,7 @@ let snippet () =
       i Insn.Ret ]
 
 let null_host () =
-  { Exec.memory = Array.make 64 0;
+  { Exec.memory = Memory.create 64;
     call_builtin = (fun _ _ -> 0);
     call_js = (fun _ _ -> 0) }
 
@@ -185,11 +185,11 @@ let alloc_kernel () =
       i Insn.Ret ]
 
 let alloc_memory () =
-  let m = Array.make 512 0 in
+  let m = Memory.create 512 in
   let x = ref 12345 in
   for w = 8 to 8 + 127 do
     x := ((!x * 1103515245) + 12345) land 0x3FFFFFFF;
-    m.(w) <- (!x lsr 16) land 1
+    m.{w} <- (!x lsr 16) land 1
   done;
   m
 

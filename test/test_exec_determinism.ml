@@ -207,7 +207,7 @@ let run_exits engine cfg ~code ~nested =
       let seen = ref [] in
       let rec host =
         {
-          Exec.memory = Array.make 64 0;
+          Exec.memory = Memory.create 64;
           call_builtin = (fun _ _ -> 0);
           call_js =
             (fun _ _ ->
@@ -244,7 +244,7 @@ let check_exit name ?(nested = inner_code) code =
 
 let run_plain code =
   let host =
-    { Exec.memory = Array.make 64 0; call_builtin = (fun _ _ -> 0);
+    { Exec.memory = Memory.create 64; call_builtin = (fun _ _ -> 0);
       call_js = (fun _ _ -> 0) }
   in
   Decode.run (Cpu.create Cpu.fast_arm64) ~host ~code ~args:[||]

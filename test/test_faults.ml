@@ -17,6 +17,7 @@ let isolated f () =
     Unix.putenv "VSPEC_CACHE_DIR" "off";
     Unix.putenv "VSPEC_MAX_CYCLES" "";
     Unix.putenv "VSPEC_RETRIES" "";
+    Unix.putenv "VSPEC_VERIFY" "";
     Experiments.Common.clear_memo ();
     Fault.Ledger.clear ()
   in
@@ -172,7 +173,7 @@ let run_spin engine =
       let cpu = Cpu.create Cpu.fast_arm64 in
       Cpu.arm_watchdog cpu ~cycles:10_000.0;
       ignore
-        (Exec.run cpu ~host:(null_host (Array.make 8 0)) ~code:(spin_code ())
+        (Exec.run cpu ~host:(null_host (Memory.create 8)) ~code:(spin_code ())
            ~args:[||]))
 
 let test_watchdog_both_engines () =
@@ -214,7 +215,7 @@ let run_spin_config ~fuse ~batch code =
       let cpu = Cpu.create Cpu.fast_arm64 in
       Cpu.arm_watchdog cpu ~cycles:10_000.0;
       match
-        Exec.run cpu ~host:(null_host (Array.make 8 0)) ~code ~args:[||]
+        Exec.run cpu ~host:(null_host (Memory.create 8)) ~code ~args:[||]
       with
       | _ -> Alcotest.fail "watchdog did not trip"
       | exception e -> (cpu, e))
@@ -253,7 +254,7 @@ let test_watchdog_disarmed_is_free () =
   Cpu.arm_watchdog cpu ~cycles:1e9;
   (match
      Exec.run cpu
-       ~host:(null_host (Array.make 8 0))
+       ~host:(null_host (Memory.create 8))
        ~code:(mk_code [ Insn.Mov (0, Insn.Imm 7); Insn.Ret ])
        ~args:[||]
    with
@@ -405,6 +406,27 @@ let test_ledger_exit_codes () =
   Alcotest.(check int) "both entries kept" 2
     (List.length (Fault.Ledger.entries ()))
 
+(* ---------------- checksum verification ---------------- *)
+
+(* AES2 carries state between iterations, so its checksum depends on
+   the iteration count: the reference must run as many iterations as
+   the cell it verifies, or every AES2 cell is a false mismatch. *)
+let test_verify_at_cell_iterations () =
+  Unix.putenv "VSPEC_VERIFY" "1";
+  let aes2 = bench "AES2" in
+  match
+    Experiments.Common.run_result ~iterations:5 ~arch:Arch.Arm64 ~seed:1
+      Experiments.Common.V_normal aes2
+  with
+  | Error err -> Alcotest.fail (Fault.describe err)
+  | Ok r ->
+    Alcotest.(check int) "cell and its reference simulated" 2
+      (fst (Experiments.Common.cache_stats ()));
+    Alcotest.(check (float 0.0)) "reference checksum" r.Experiments.Harness.checksum
+      (Experiments.Common.reference_checksum ~iterations:5 aes2);
+    Alcotest.(check int) "nothing ledgered" 0
+      (List.length (Fault.Ledger.entries ()))
+
 (* ---------------- end-to-end degraded figure ---------------- *)
 
 let with_captured_stdout f =
@@ -495,6 +517,7 @@ let suite =
         tc "corrupt cache entry quarantined" test_corrupt_entry_quarantined;
         tc "unusable cache dir degrades" test_unusable_cache_dir_degrades;
         tc "ledger exit-code contract" test_ledger_exit_codes;
+        tc "verification at the cell's iterations" test_verify_at_cell_iterations;
         tc "degraded figure end-to-end" test_degraded_figure_end_to_end;
       ] );
   ]

@@ -2,7 +2,7 @@
    SMI tagging, object layouts, hidden-class transitions, elements-kind
    transitions, and the mark-sweep collector. *)
 
-let mk () = Heap.create ~size_words:(1 lsl 18) ()
+let mk () = Heap.create ~size_words:(1 lsl 18)
 
 (* ---------------- Value tagging ---------------- *)
 
@@ -284,7 +284,7 @@ let test_gc_reuses_space () =
     (Heap.words_in_use h < baseline + 4096)
 
 let test_gc_on_full_hook () =
-  let h = Heap.create ~size_words:4096 () in
+  let h = Heap.create ~size_words:4096 in
   let collected = ref 0 in
   Heap.set_on_full h (fun () ->
       incr collected;
@@ -305,6 +305,29 @@ let test_object_sizes () =
   Alcotest.(check int) "function" 4
     (Heap.object_size h
        (Heap.alloc_function h ~function_id:0 ~context:(Heap.undefined h)))
+
+(* Heap memory is a /dev/zero mapping (Memory.create) that only the
+   GC's finaliser unmaps; a dead heap that stayed reachable would keep
+   its mapping, and its touched pages, for the life of the process. *)
+let dev_zero_mappings () =
+  In_channel.with_open_text "/proc/self/maps" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun l -> Str.string_match (Str.regexp ".*/dev/zero") l 0)
+  |> List.length
+
+let test_dead_heaps_unmapped () =
+  let size_words = (Engine.default_config ()).Engine.heap_size in
+  let live = Heap.create ~size_words in
+  Alcotest.(check bool) "a live heap is a /dev/zero mapping" true
+    (dev_zero_mappings () >= 1);
+  ignore (Sys.opaque_identity live);
+  for _ = 1 to 200 do
+    (* [Heap.create] writes its boot objects into the first page. *)
+    ignore (Sys.opaque_identity (Heap.create ~size_words))
+  done;
+  Gc.full_major ();
+  let n = dev_zero_mappings () in
+  if n > 8 then Alcotest.failf "%d /dev/zero mappings after 200 dead heaps" n
 
 let suite =
   let q = QCheck_alcotest.to_alcotest in
@@ -355,5 +378,6 @@ let suite =
         Alcotest.test_case "preserves live graph" `Quick test_gc_preserves_roots;
         Alcotest.test_case "reuses space" `Quick test_gc_reuses_space;
         Alcotest.test_case "on_full hook" `Quick test_gc_on_full_hook;
+        Alcotest.test_case "dead heaps unmapped" `Quick test_dead_heaps_unmapped;
       ] );
   ]

@@ -14,7 +14,7 @@ let null_host memory =
     call_js = (fun _ _ -> 0);
   }
 
-let run ?(memory = Array.make 64 0) ?(args = [||]) insns =
+let run ?(memory = Memory.create 64) ?(args = [||]) insns =
   let cpu = Cpu.create Cpu.fast_arm64 in
   (cpu, Exec.run cpu ~host:(null_host memory) ~code:(mk_code insns) ~args)
 
@@ -95,8 +95,8 @@ let test_overflow_flag () =
   expect_done "32-bit add overflow sets V" 1 r
 
 let test_loads_stores () =
-  let memory = Array.make 64 0 in
-  memory.(10) <- 1234;
+  let memory = Memory.create 64 in
+  memory.{10} <- 1234;
   let _, r =
     run ~memory
       [ Insn.Mov (1, Insn.Imm 20) (* address 20 = word 10 *);
@@ -105,12 +105,12 @@ let test_loads_stores () =
         Insn.Ret ]
   in
   expect_done "load" 1234 r;
-  Alcotest.(check int) "store" 1234 memory.(11)
+  Alcotest.(check int) "store" 1234 memory.{11}
 
 let test_indexed_addressing () =
-  let memory = Array.make 64 0 in
-  memory.(8) <- 7;
-  memory.(9) <- 8;
+  let memory = Memory.create 64 in
+  memory.{8} <- 7;
+  memory.{9} <- 8;
   let _, r =
     run ~memory
       [ Insn.Mov (1, Insn.Imm 16) (* base: word 8 *);
@@ -121,10 +121,10 @@ let test_indexed_addressing () =
   expect_done "indexed tagged-scale load" 8 r
 
 let test_float_ops () =
-  let memory = Array.make 64 0 in
+  let memory = Memory.create 64 in
   let bits = Int64.bits_of_float 2.5 in
-  memory.(4) <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
-  memory.(5) <- Int64.to_int (Int64.shift_right_logical bits 32);
+  memory.{4} <- Int64.to_int (Int64.logand bits 0xFFFFFFFFL);
+  memory.{5} <- Int64.to_int (Int64.shift_right_logical bits 32);
   let _, r =
     run ~memory
       [ Insn.Mov (1, Insn.Imm 8);
@@ -172,7 +172,7 @@ let test_deopt_path () =
         Insn.Ret ]
   in
   let cpu = Cpu.create Cpu.fast_arm64 in
-  match Exec.run cpu ~host:(null_host (Array.make 8 0)) ~code ~args:[||] with
+  match Exec.run cpu ~host:(null_host (Memory.create 8)) ~code ~args:[||] with
   | Exec.Done _ -> Alcotest.fail "expected deopt"
   | Exec.Deopt { deopt_id; reason; snapshot; via_smi_ext } ->
     Alcotest.(check int) "deopt id" 0 deopt_id;
@@ -189,8 +189,8 @@ let test_jsldrsmi_fast_and_fail () =
          frame = [||]; accumulator = Code.Fv_dead } |]
   in
   let mk word =
-    let memory = Array.make 16 0 in
-    memory.(4) <- word;
+    let memory = Memory.create 16 in
+    memory.{4} <- word;
     let code =
       mk_code ~deopts
         [ Insn.Mov (1, Insn.Imm 0x200) (* REG_BA *);
@@ -225,7 +225,7 @@ let test_spill_reload () =
 let test_builtin_call_convention () =
   let got = ref [||] in
   let host =
-    { Exec.memory = Array.make 8 0;
+    { Exec.memory = Memory.create 8;
       call_builtin =
         (fun b argv ->
           Alcotest.(check int) "builtin id" 9 b;
@@ -358,7 +358,7 @@ let test_inorder_slower_than_o3 () =
   in
   let time cfg =
     let cpu = Cpu.create cfg in
-    let memory = Array.make 64 0 in
+    let memory = Memory.create 64 in
     ignore (Exec.run cpu ~host:(null_host memory) ~code:(mk_code insns) ~args:[||]);
     Cpu.cycles cpu
   in
@@ -400,7 +400,7 @@ let test_sampler () =
       Insn.Bcond (Insn.Lt, 1);
       Insn.Ret ]
   in
-  ignore (Exec.run cpu ~host:(null_host (Array.make 8 0)) ~code:(mk_code insns) ~args:[||]);
+  ignore (Exec.run cpu ~host:(null_host (Memory.create 8)) ~code:(mk_code insns) ~args:[||]);
   Alcotest.(check bool) "samples collected" true (Perf.total_samples s > 10);
   let per_insn = Perf.samples_for s ~code_id:0 ~size:6 in
   Alcotest.(check int) "attributed to code 0" (Perf.total_samples s)
@@ -481,8 +481,8 @@ let test_jschkmap_fast_and_fail () =
          accumulator = Code.Fv_dead } |]
   in
   let mk map_word =
-    let memory = Array.make 16 0 in
-    memory.(4) <- map_word (* object header at word 4, address 8 *);
+    let memory = Memory.create 16 in
+    memory.{4} <- map_word (* object header at word 4, address 8 *);
     let code =
       mk_code ~deopts
         [ Insn.Mov (1, Insn.Imm 0x200);
@@ -514,9 +514,20 @@ let with_engine engine f =
 (* A float access whose FIRST word is in range but whose second is not
    must fault like any other wild access on both engines (historically
    the second word escaped the bounds check and surfaced as a raw
-   [Invalid_argument]). *)
+   [Invalid_argument]).  So must an integer load one word past the
+   last, after a load at the last word succeeds (a fresh memory reads 0
+   at both ends). *)
 let test_float_mem_second_word_bounds () =
+  let fresh = Memory.create 64 in
+  Alcotest.(check int) "fresh word 0" 0 fresh.{0};
+  Alcotest.(check int) "fresh last word" 0 fresh.{63};
   let last_word_addr = 2 * 63 (* memory is 64 words; word 64 is OOB *) in
+  let ldr_past =
+    [ Insn.Mov (1, Insn.Imm last_word_addr);
+      Insn.Ldr (0, Insn.mk_addr 1);
+      Insn.Ldr (0, Insn.mk_addr ~offset:2 1);
+      Insn.Ret ]
+  in
   let ldr_f =
     [ Insn.Mov (1, Insn.Imm last_word_addr);
       Insn.Ldr_f (0, Insn.mk_addr 1);
@@ -539,7 +550,7 @@ let test_float_mem_second_word_bounds () =
                 Alcotest.(check string)
                   (Printf.sprintf "%s/%s fault message" name ename)
                   "test: address 128 out of range" msg)
-            [ ("ldr_f", ldr_f); ("str_f", str_f) ]))
+            [ ("ldr_f", ldr_f); ("str_f", str_f); ("ldr", ldr_past) ]))
     [ (Exec.Direct, "direct"); (Exec.Decoded, "decoded") ]
 
 (* Same program, fresh CPUs: both engines must agree on the outcome and
@@ -560,7 +571,10 @@ let test_engines_bit_identical () =
   in
   let measure engine =
     with_engine engine (fun () ->
-        let memory = Array.init 256 (fun i -> (i * 7) land 0xFF) in
+        let memory = Memory.create 256 in
+        for i = 0 to 255 do
+          memory.{i} <- (i * 7) land 0xFF
+        done;
         let cpu, outcome = run ~memory insns in
         ( outcome,
           Cpu.cycles cpu,

@@ -18,7 +18,7 @@ let test_number_to_string () =
     cases
 
 let test_to_number_strings () =
-  let h = Heap.create ~size_words:(1 lsl 16) () in
+  let h = Heap.create ~size_words:(1 lsl 16) in
   let num s = Conv.to_number h (Heap.alloc_string h s) in
   Alcotest.(check bool) "int" true (num "42" = 42.0);
   Alcotest.(check bool) "float" true (num "2.5" = 2.5);
