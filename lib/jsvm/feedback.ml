@@ -72,16 +72,39 @@ let record_compare v i ot =
   | Sl_compare r -> r := join_operand !r ot
   | _ -> invalid_arg "Feedback.record_compare: wrong slot kind"
 
+let site_equal a b =
+  match (a, b) with
+  | Own x, Own y -> x = y
+  | Proto a, Proto b -> a.holder = b.holder && a.slot = b.slot
+  | Transition a, Transition b -> a.new_map = b.new_map && a.slot = b.slot
+  | Length, Length -> true
+  | (Own _ | Proto _ | Transition _ | Length), _ -> false
+
+let rec find_entry map_id = function
+  | [] -> None
+  | (m, site) :: rest -> if m = map_id then Some site else find_entry map_id rest
+
+let rec remove_entry map_id = function
+  | [] -> []
+  | ((m, _) as e) :: rest ->
+    if m = map_id then rest else e :: remove_entry map_id rest
+
+let rec mem_int x = function [] -> false | y :: rest -> y = x || mem_int x rest
+
+let rec mem_target x = function
+  | [] -> false
+  | (y, _) :: rest -> y = x || mem_target x rest
+
 let record_prop v i ~map_id site =
   match v.(i) with
   | Sl_prop p ->
     if not p.megamorphic then begin
-      match List.assoc_opt map_id p.entries with
-      | Some existing when existing = site -> ()
+      match find_entry map_id p.entries with
+      | Some existing when site_equal existing site -> ()
       | Some _ ->
         (* Same map resolving differently (e.g. transition then own):
            update in place. *)
-        p.entries <- (map_id, site) :: List.remove_assoc map_id p.entries
+        p.entries <- (map_id, site) :: remove_entry map_id p.entries
       | None ->
         if List.length p.entries >= max_polymorphic then begin
           p.megamorphic <- true;
@@ -99,11 +122,19 @@ let record_prop v i ~map_id site =
     end
   | _ -> invalid_arg "Feedback.record_prop: wrong slot kind"
 
+let rec own_in map_id = function
+  | [] -> -1
+  | (m, Own s) :: _ when m = map_id -> s
+  | _ :: rest -> own_in map_id rest
+
+let own_hit v i ~map_id =
+  match v.(i) with Sl_prop p -> own_in map_id p.entries | _ -> -1
+
 let record_elem v i ~map_id ~smi_index =
   match v.(i) with
   | Sl_elem e ->
     if not e.megamorphic then begin
-      if not (List.mem map_id e.maps) then begin
+      if not (mem_int map_id e.maps) then begin
         if List.length e.maps >= max_polymorphic then begin
           e.megamorphic <- true;
           if !Trace.on then
@@ -125,7 +156,7 @@ let record_elem v i ~map_id ~smi_index =
 let record_call v i ~target ~target_obj =
   match v.(i) with
   | Sl_call c ->
-    if not c.megamorphic && not (List.mem_assoc target c.targets) then begin
+    if not c.megamorphic && not (mem_target target c.targets) then begin
       if List.length c.targets >= 2 then begin
         c.megamorphic <- true;
         if !Trace.on then

@@ -48,6 +48,14 @@ val create : Bytecode.func_info -> vector
 val record_binop : vector -> int -> operand_type -> unit
 val record_compare : vector -> int -> operand_type -> unit
 val record_prop : vector -> int -> map_id:int -> prop_site -> unit
+val own_hit : vector -> int -> map_id:int -> int
+(** The slot of an [Own] entry for [map_id] at property site [i], or
+    [-1].  Such an entry is a fixed fact: a map's properties never
+    change once it is created, and a site always names one property.
+    So the interpreter may use a hit as its inline cache and skip both
+    the lookup and {!record_prop}, which would record an equal entry.
+    [Proto], [Transition] and [Length] entries never hit. *)
+
 val record_elem : vector -> int -> map_id:int -> smi_index:bool -> unit
 val record_call : vector -> int -> target:int -> target_obj:int -> unit
 val mark_megamorphic : vector -> int -> unit

@@ -32,7 +32,6 @@ type t = {
   mutable objects : int list;            (* registry of live object indexes *)
   mutable maps : map_info array;         (* map_id -> info, grown by doubling *)
   mutable n_maps : int;
-  map_ptr_to_id : (int, int) Hashtbl.t;
   interned : (string, int) Hashtbl.t;
   globals : (string, int) Hashtbl.t;     (* name -> cell ptr *)
   mutable root_providers : (unit -> int list) list;
@@ -144,7 +143,6 @@ let register_map t ~itype ~prototype ~elements_kind =
   end;
   t.maps.(t.n_maps) <- info;
   t.n_maps <- t.n_maps + 1;
-  Hashtbl.replace t.map_ptr_to_id idx map_id;
   (* The meta-map points to itself; at boot time meta_map is being
      created so its ptr is this very object. *)
   let meta_ptr =
@@ -156,12 +154,21 @@ let register_map t ~itype ~prototype ~elements_kind =
   map_id
 
 let map_info_by_id t id = t.maps.(id)
-let map_id_of_map_ptr t ptr = Hashtbl.find t.map_ptr_to_id (Value.pointer_index ptr)
+
+(* Word 1 of a map object holds its id as an SMI.  A word that is not a
+   registered map raises [Not_found]: its word 1 must be an in-range id
+   whose map points back at it. *)
+let map_id_of_map_ptr t ptr =
+  let idx = Value.pointer_index ptr in
+  if idx < 0 || idx + 1 >= t.size then raise Not_found;
+  let w = t.mem.{idx + 1} in
+  let id = w asr 1 in
+  if w land 1 <> 0 || id < 0 || id >= t.n_maps || t.maps.(id).map_ptr <> ptr
+  then raise Not_found;
+  id
 
 let map_of t ptr =
-  let idx = Value.pointer_index ptr in
-  let map_ptr = t.mem.{idx} in
-  t.maps.(Hashtbl.find t.map_ptr_to_id (Value.pointer_index map_ptr))
+  t.maps.(map_id_of_map_ptr t t.mem.{Value.pointer_index ptr})
 
 let instance_type_of t ptr = (map_of t ptr).itype
 
@@ -189,7 +196,6 @@ let create ~size_words =
       objects = [];
       maps = [||];
       n_maps = 0;
-      map_ptr_to_id = Hashtbl.create 64;
       interned = Hashtbl.create 256;
       globals = Hashtbl.create 64;
       root_providers = [];
@@ -326,7 +332,12 @@ let string_char_code t ptr i =
 
 let string_value t ptr =
   let n = string_length t ptr in
-  String.init n (fun i -> Char.chr (string_char_code t ptr i land 0xFF))
+  let base = Value.pointer_index ptr + string_chars_field in
+  let b = Bytes.create n in
+  for i = 0 to n - 1 do
+    Bytes.unsafe_set b i (Char.unsafe_chr (Value.smi_value t.mem.{base + i} land 0xFF))
+  done;
+  Bytes.unsafe_to_string b
 
 (* ---------------- Objects and hidden classes ---------------- *)
 
@@ -345,7 +356,11 @@ let alloc_object t ~map_id =
 
 let alloc_empty_object t = alloc_object t ~map_id:t.empty_object_map
 
-let own_slot (info : map_info) name = List.assoc_opt name info.props
+let rec assoc_name name = function
+  | [] -> None
+  | (n, v) :: rest -> if String.equal n name then Some v else assoc_name name rest
+
+let own_slot (info : map_info) name = assoc_name name info.props
 
 let alloc_fixed_array t capacity init =
   let idx = alloc_with_map t t.fixed_array_map (elements_header + capacity) in
@@ -357,26 +372,18 @@ let alloc_fixed_array t capacity init =
 
 (* Arrays keep every named property out-of-line (their fixed fields are
    length and elements); plain objects use 6 inline slots first. *)
-let slot_location t obj slot =
-  match (map_of t obj).itype with
-  | It_array -> `Out_of_line (array_props_field, slot)
-  | _ ->
-    if slot < inline_slots then `Inline (object_inline_base + slot)
-    else `Out_of_line (object_props_field, slot - inline_slots)
-
 let load_slot t obj slot =
-  match slot_location t obj slot with
-  | `Inline field -> load t obj field
-  | `Out_of_line (props_field, idx) ->
-    let props = load t obj props_field in
-    load t props (elements_header + idx)
+  if (map_of t obj).itype = It_array then
+    load t (load t obj array_props_field) (elements_header + slot)
+  else if slot < inline_slots then load t obj (object_inline_base + slot)
+  else load t (load t obj object_props_field) (elements_header + slot - inline_slots)
 
 let store_slot t obj slot v =
-  match slot_location t obj slot with
-  | `Inline field -> store t obj field v
-  | `Out_of_line (props_field, idx) ->
-    let props = load t obj props_field in
-    store t props (elements_header + idx) v
+  if (map_of t obj).itype = It_array then
+    store t (load t obj array_props_field) (elements_header + slot) v
+  else if slot < inline_slots then store t obj (object_inline_base + slot) v
+  else
+    store t (load t obj object_props_field) (elements_header + slot - inline_slots) v
 
 let get_own_property t obj name =
   match own_slot (map_of t obj) name with
@@ -392,7 +399,7 @@ let rec get_property t obj name =
     else get_property t proto name
 
 let transition_map t info name =
-  match List.assoc_opt name info.transitions with
+  match assoc_name name info.transitions with
   | Some id -> id
   | None ->
     let slot = List.length info.props in
@@ -664,8 +671,7 @@ let global_exists t name = Hashtbl.mem t.globals name
 (* ---------------- Garbage collection ---------------- *)
 
 let object_size_at t idx =
-  let map_ptr = t.mem.{idx} in
-  let info = t.maps.(Hashtbl.find t.map_ptr_to_id (Value.pointer_index map_ptr)) in
+  let info = t.maps.(map_id_of_map_ptr t t.mem.{idx}) in
   match info.itype with
   | It_map -> 3
   | It_oddball -> 2
@@ -687,7 +693,7 @@ let object_size t ptr = object_size_at t (Value.pointer_index ptr)
 let scan_fields t idx f =
   let map_ptr = t.mem.{idx} in
   f map_ptr;
-  let info = t.maps.(Hashtbl.find t.map_ptr_to_id (Value.pointer_index map_ptr)) in
+  let info = t.maps.(map_id_of_map_ptr t map_ptr) in
   match info.itype with
   | It_map | It_oddball | It_heap_number -> ()
   | It_string -> () (* chars are SMIs *)

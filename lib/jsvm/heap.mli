@@ -79,9 +79,15 @@ val load : t -> int -> int -> int
 
 val store : t -> int -> int -> int -> unit
 val map_of : t -> int -> map_info
+(** The map of the object at a tagged pointer, read from word 1 of the
+    map its word 0 points at.  Raises [Not_found] if word 0 is not a
+    registered map. *)
+
 val instance_type_of : t -> int -> instance_type
 val map_info_by_id : t -> int -> map_info
 val map_id_of_map_ptr : t -> int -> int
+(** Raises [Not_found] if the word is not a registered map. *)
+
 val instance_type_code : instance_type -> int
 (** The SMI payload stored in a map object's instance-type field. *)
 

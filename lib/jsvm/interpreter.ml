@@ -13,6 +13,10 @@ let to_int32 f =
     if w >= 0x80000000 then w - 0x100000000 else w
   end
 
+(* ToInt32 of a number value; a SMI is its own int32. *)
+let int32_of h v =
+  if Value.is_smi v then Value.smi_value v else to_int32 (Conv.to_number h v)
+
 let ot_of h v =
   if Value.is_smi v then Feedback.Ot_smi
   else begin
@@ -27,6 +31,21 @@ let const_name (f : Runtime.func_rt) i =
   | Bytecode.C_str s -> s
   | Bytecode.C_num _ -> err "internal: numeric constant used as name"
 
+(* Global cells never move and are never freed, so each function keeps
+   the cell of every name constant it has used. *)
+let global_cell h (f : Runtime.func_rt) c =
+  let cell = f.Runtime.global_cells.(c) in
+  if cell <> 0 then cell
+  else begin
+    let cell = Heap.global_cell h (const_name f c) in
+    f.Runtime.global_cells.(c) <- cell;
+    cell
+  end
+
+(* The context [depth] levels up from [c]. *)
+let rec context_at h c depth =
+  if depth = 0 then c else context_at h (Heap.context_parent h c) (depth - 1)
+
 (* ------------------------------------------------------------------ *)
 (* Arithmetic with feedback                                            *)
 (* ------------------------------------------------------------------ *)
@@ -37,63 +56,62 @@ let smi_mul_fits a b =
 
 let arith rt fvec slot (op : Ast.binop) a b =
   let h = rt.Runtime.heap in
-  let record t = Feedback.record_binop fvec slot t in
   if Value.is_smi a && Value.is_smi b then begin
     let x = Value.smi_value a and y = Value.smi_value b in
     match op with
     | Ast.Add ->
       let r = x + y in
       if Value.smi_fits r then begin
-        record Feedback.Ot_smi;
+        Feedback.record_binop fvec slot Feedback.Ot_smi;
         Value.smi r
       end
       else begin
-        record Feedback.Ot_number;
+        Feedback.record_binop fvec slot Feedback.Ot_number;
         Heap.alloc_heap_number h (float_of_int r)
       end
     | Ast.Sub ->
       let r = x - y in
       if Value.smi_fits r then begin
-        record Feedback.Ot_smi;
+        Feedback.record_binop fvec slot Feedback.Ot_smi;
         Value.smi r
       end
       else begin
-        record Feedback.Ot_number;
+        Feedback.record_binop fvec slot Feedback.Ot_number;
         Heap.alloc_heap_number h (float_of_int r)
       end
     | Ast.Mul ->
       if smi_mul_fits x y then begin
-        record Feedback.Ot_smi;
+        Feedback.record_binop fvec slot Feedback.Ot_smi;
         Value.smi (x * y)
       end
       else begin
-        record Feedback.Ot_number;
+        Feedback.record_binop fvec slot Feedback.Ot_number;
         Heap.number h (float_of_int x *. float_of_int y)
       end
     | Ast.Div ->
       if y <> 0 && x mod y = 0 && not (x = 0 && y < 0) && Value.smi_fits (x / y)
       then begin
-        record Feedback.Ot_smi;
+        Feedback.record_binop fvec slot Feedback.Ot_smi;
         Value.smi (x / y)
       end
       else begin
-        record Feedback.Ot_number;
+        Feedback.record_binop fvec slot Feedback.Ot_number;
         Heap.number h (float_of_int x /. float_of_int y)
       end
     | Ast.Mod ->
       if y <> 0 && not (x mod y = 0 && x < 0) then begin
         (* Negative zero results must be doubles. *)
-        record Feedback.Ot_smi;
+        Feedback.record_binop fvec slot Feedback.Ot_smi;
         Value.smi (x mod y)
       end
       else begin
-        record Feedback.Ot_number;
+        Feedback.record_binop fvec slot Feedback.Ot_number;
         Heap.number h (Float.rem (float_of_int x) (float_of_int y))
       end
     | _ -> err "internal: arith on non-arith op"
   end
   else if Heap.is_number h a && Heap.is_number h b then begin
-    record Feedback.Ot_number;
+    Feedback.record_binop fvec slot Feedback.Ot_number;
     let x = Heap.number_value h a and y = Heap.number_value h b in
     let r =
       match op with
@@ -107,7 +125,7 @@ let arith rt fvec slot (op : Ast.binop) a b =
     Heap.number h r
   end
   else if op = Ast.Add && (Heap.is_string h a || Heap.is_string h b) then begin
-    record
+    Feedback.record_binop fvec slot
       (if Heap.is_string h a && Heap.is_string h b then Feedback.Ot_string
        else Feedback.Ot_any);
     let s = Conv.to_js_string h a ^ Conv.to_js_string h b in
@@ -116,13 +134,13 @@ let arith rt fvec slot (op : Ast.binop) a b =
   end
   else if op = Ast.Add then begin
     (* Object/array coercion: both sides become strings. *)
-    record Feedback.Ot_any;
+    Feedback.record_binop fvec slot Feedback.Ot_any;
     let s = Conv.to_js_string h a ^ Conv.to_js_string h b in
     rt.Runtime.charge_builtin ~cycles:(40 + (4 * String.length s));
     Heap.alloc_string h s
   end
   else begin
-    record Feedback.Ot_any;
+    Feedback.record_binop fvec slot Feedback.Ot_any;
     let x = Conv.to_number h a and y = Conv.to_number h b in
     let r =
       match op with
@@ -138,7 +156,7 @@ let arith rt fvec slot (op : Ast.binop) a b =
 let bitwise rt fvec slot (op : Ast.binop) a b =
   let h = rt.Runtime.heap in
   let both_smi = Value.is_smi a && Value.is_smi b in
-  let x = to_int32 (Conv.to_number h a) and y = to_int32 (Conv.to_number h b) in
+  let x = int32_of h a and y = int32_of h b in
   let r =
     match op with
     | Ast.Bit_and -> x land y
@@ -162,25 +180,24 @@ let bitwise rt fvec slot (op : Ast.binop) a b =
 
 let compare_vals rt fvec slot (op : Ast.binop) a b =
   let h = rt.Runtime.heap in
-  let record t = Feedback.record_compare fvec slot t in
-  let bool_v = Heap.bool_value h in
   match op with
-  | Ast.Eq -> record (Feedback.join_operand (ot_of h a) (ot_of h b));
-    bool_v (Conv.loose_equal h a b)
+  | Ast.Eq ->
+    Feedback.record_compare fvec slot (Feedback.join_operand (ot_of h a) (ot_of h b));
+    Heap.bool_value h (Conv.loose_equal h a b)
   | Ast.Neq ->
-    record (Feedback.join_operand (ot_of h a) (ot_of h b));
-    bool_v (not (Conv.loose_equal h a b))
+    Feedback.record_compare fvec slot (Feedback.join_operand (ot_of h a) (ot_of h b));
+    Heap.bool_value h (not (Conv.loose_equal h a b))
   | Ast.Strict_eq ->
-    record (Feedback.join_operand (ot_of h a) (ot_of h b));
-    bool_v (Conv.strict_equal h a b)
+    Feedback.record_compare fvec slot (Feedback.join_operand (ot_of h a) (ot_of h b));
+    Heap.bool_value h (Conv.strict_equal h a b)
   | Ast.Strict_neq ->
-    record (Feedback.join_operand (ot_of h a) (ot_of h b));
-    bool_v (not (Conv.strict_equal h a b))
+    Feedback.record_compare fvec slot (Feedback.join_operand (ot_of h a) (ot_of h b));
+    Heap.bool_value h (not (Conv.strict_equal h a b))
   | Ast.Lt | Ast.Le | Ast.Gt | Ast.Ge ->
     if Value.is_smi a && Value.is_smi b then begin
-      record Feedback.Ot_smi;
+      Feedback.record_compare fvec slot Feedback.Ot_smi;
       let x = Value.smi_value a and y = Value.smi_value b in
-      bool_v
+      Heap.bool_value h
         (match op with
         | Ast.Lt -> x < y
         | Ast.Le -> x <= y
@@ -189,10 +206,10 @@ let compare_vals rt fvec slot (op : Ast.binop) a b =
         | _ -> assert false)
     end
     else if Heap.is_string h a && Heap.is_string h b then begin
-      record Feedback.Ot_string;
+      Feedback.record_compare fvec slot Feedback.Ot_string;
       let x = Heap.string_value h a and y = Heap.string_value h b in
       rt.Runtime.charge_builtin ~cycles:(20 + min (String.length x) (String.length y));
-      bool_v
+      Heap.bool_value h
         (match op with
         | Ast.Lt -> x < y
         | Ast.Le -> x <= y
@@ -201,11 +218,11 @@ let compare_vals rt fvec slot (op : Ast.binop) a b =
         | _ -> assert false)
     end
     else begin
-      record
+      Feedback.record_compare fvec slot
         (if Heap.is_number h a && Heap.is_number h b then Feedback.Ot_number
          else Feedback.Ot_any);
       let x = Conv.to_number h a and y = Conv.to_number h b in
-      bool_v
+      Heap.bool_value h
         (match op with
         | Ast.Lt -> x < y
         | Ast.Le -> x <= y
@@ -219,14 +236,20 @@ let compare_vals rt fvec slot (op : Ast.binop) a b =
 (* Property access with feedback                                       *)
 (* ------------------------------------------------------------------ *)
 
+(* The inline cache of a named access: an [Own] entry of the site's own
+   feedback for the receiver's map (see [Feedback.own_hit]).  On a hit
+   the lookup and the recording are both skipped; recording would add
+   nothing. *)
 let get_named rt fvec slot obj name =
   let h = rt.Runtime.heap in
   if Value.is_smi obj then err "cannot read property '%s' of a number" name
   else begin
-    match Heap.instance_type_of h obj with
-    | Heap.It_object | Heap.It_array -> (
-      let info = Heap.map_of h obj in
-      if name = "length" && info.Heap.itype = Heap.It_array then begin
+    let info = Heap.map_of h obj in
+    match info.Heap.itype with
+    | Heap.It_object | Heap.It_array ->
+      let s = Feedback.own_hit fvec slot ~map_id:info.Heap.map_id in
+      if s >= 0 then Heap.load_slot h obj s
+      else if name = "length" && info.Heap.itype = Heap.It_array then begin
         Feedback.record_prop fvec slot ~map_id:info.Heap.map_id Feedback.Length;
         Value.smi (Heap.array_length h obj)
       end
@@ -254,10 +277,9 @@ let get_named rt fvec slot obj name =
           | None ->
             Feedback.mark_megamorphic fvec slot;
             Heap.undefined h)
-      end)
+      end
     | Heap.It_string ->
       if name = "length" then begin
-        let info = Heap.map_of h obj in
         Feedback.record_prop fvec slot ~map_id:info.Heap.map_id Feedback.Length;
         Value.smi (Heap.string_length h obj)
       end
@@ -281,24 +303,28 @@ let set_named rt fvec slot obj name v =
   let h = rt.Runtime.heap in
   if Value.is_smi obj then err "cannot set property '%s' of a number" name
   else begin
-    match Heap.instance_type_of h obj with
-    | Heap.It_object | Heap.It_array -> (
-      let info = Heap.map_of h obj in
-      match Heap.own_slot info name with
-      | Some s ->
-        Feedback.record_prop fvec slot ~map_id:info.Heap.map_id (Feedback.Own s);
-        Heap.store_slot h obj s v
-      | None ->
-        let old_map = info.Heap.map_id in
-        Heap.set_property h obj name v;
-        let new_info = Heap.map_of h obj in
-        let s =
-          match Heap.own_slot new_info name with
-          | Some s -> s
-          | None -> err "internal: property %s vanished after store" name
-        in
-        Feedback.record_prop fvec slot ~map_id:old_map
-          (Feedback.Transition { new_map = new_info.Heap.map_id; slot = s }))
+    let info = Heap.map_of h obj in
+    match info.Heap.itype with
+    | Heap.It_object | Heap.It_array ->
+      let s = Feedback.own_hit fvec slot ~map_id:info.Heap.map_id in
+      if s >= 0 then Heap.store_slot h obj s v
+      else begin
+        match Heap.own_slot info name with
+        | Some s ->
+          Feedback.record_prop fvec slot ~map_id:info.Heap.map_id (Feedback.Own s);
+          Heap.store_slot h obj s v
+        | None ->
+          let old_map = info.Heap.map_id in
+          Heap.set_property h obj name v;
+          let new_info = Heap.map_of h obj in
+          let s =
+            match Heap.own_slot new_info name with
+            | Some s -> s
+            | None -> err "internal: property %s vanished after store" name
+          in
+          Feedback.record_prop fvec slot ~map_id:old_map
+            (Feedback.Transition { new_map = new_info.Heap.map_id; slot = s })
+      end
     | Heap.It_function -> Heap.set_property h obj name v
     | _ -> err "cannot set property '%s'" name
   end
@@ -444,9 +470,9 @@ and run_loop rt (f : Runtime.func_rt) ~regs ~ctx ~acc ~pc =
   in
   let acc = ref acc in
   let pc = ref pc in
-  let result = ref None in
+  let running = ref true in
   (try
-     while !result = None do
+     while !running do
        let op = code.(!pc) in
        cost := !cost + Bytecode.interp_cost op;
        incr nops;
@@ -463,18 +489,12 @@ and run_loop rt (f : Runtime.func_rt) ~regs ~ctx ~acc ~pc =
        | Bytecode.Ldar r -> acc := regs.(r)
        | Bytecode.Star r -> regs.(r) <- !acc
        | Bytecode.Mov (d, s) -> regs.(d) <- regs.(s)
-       | Bytecode.Lda_global c ->
-         let cell = Heap.global_cell h (const_name f c) in
-         acc := Heap.cell_value h cell
-       | Bytecode.Sta_global c ->
-         let cell = Heap.global_cell h (const_name f c) in
-         Heap.set_cell_value h cell !acc
+       | Bytecode.Lda_global c -> acc := Heap.cell_value h (global_cell h f c)
+       | Bytecode.Sta_global c -> Heap.set_cell_value h (global_cell h f c) !acc
        | Bytecode.Lda_context (depth, slot) ->
-         let rec walk c d = if d = 0 then c else walk (Heap.context_parent h c) (d - 1) in
-         acc := Heap.context_get h (walk ctx depth) slot
+         acc := Heap.context_get h (context_at h ctx depth) slot
        | Bytecode.Sta_context (depth, slot) ->
-         let rec walk c d = if d = 0 then c else walk (Heap.context_parent h c) (d - 1) in
-         Heap.context_set h (walk ctx depth) slot !acc
+         Heap.context_set h (context_at h ctx depth) slot !acc
        | Bytecode.Binop (op, r, slot) -> (
          let a = regs.(r) and b = !acc in
          match op with
@@ -546,7 +566,7 @@ and run_loop rt (f : Runtime.func_rt) ~regs ~ctx ~acc ~pc =
          acc := construct rt fvec slot callee args
        | Bytecode.Return ->
          flush ();
-         result := Some !acc);
+         running := false);
        pc := !next
      done
    with e ->
@@ -554,7 +574,7 @@ and run_loop rt (f : Runtime.func_rt) ~regs ~ctx ~acc ~pc =
      raise e);
   Runtime.pop_frame rt;
   flush ();
-  match !result with Some v -> v | None -> assert false
+  !acc
 
 and record_call_target rt fvec slot callee =
   let h = rt.Runtime.heap in

@@ -4,6 +4,7 @@ type func_rt = {
   info : Bytecode.func_info;
   mutable feedback : Feedback.vector;
   mutable const_values : int array;
+  global_cells : int array;
   mutable invocations : int;
   mutable code_ref : int;
   mutable deopt_count : int;
@@ -56,6 +57,7 @@ let create ~heap_size ?(seed = 42) (u : Bcompiler.unit_) =
           info;
           feedback = Feedback.create info;
           const_values = [||];
+          global_cells = Array.make (Array.length info.Bytecode.consts) 0;
           invocations = 0;
           code_ref = -1;
           deopt_count = 0;

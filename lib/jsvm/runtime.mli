@@ -11,6 +11,9 @@ type func_rt = {
   info : Bytecode.func_info;
   mutable feedback : Feedback.vector;
   mutable const_values : int array;   (** materialized tagged constants *)
+  global_cells : int array;
+      (** global cell per name constant, filled on first use; 0 = not
+          yet looked up.  Cells are GC roots and never move. *)
   mutable invocations : int;
   mutable code_ref : int;             (** engine code id; -1 = not compiled *)
   mutable deopt_count : int;

@@ -56,9 +56,10 @@ let miss_fill t base line =
 (* The hit path is loop-free (ways 0-3 unrolled, deeper sets defer to
    [find_way]) so the classic (non-flambda) inliner, which refuses
    functions containing loops, inlines it into [data_latency] and
-   [inst_latency] below.  Builds use [-opaque], so the executors in
-   other modules reach it through a real call; it takes and returns
-   only immediates, so that call allocates nothing.
+   [inst_latency] below.  The release build (dune-workspace) lets
+   ocamlopt inline across modules, but the executors must not depend on
+   it: it takes and returns only immediates, so even a real call from
+   another module allocates nothing.
    [base + i < sets * assoc = Array.length tags] by construction. *)
 let[@inline] access t addr =
   let line = addr lsr t.line_shift in

@@ -292,8 +292,9 @@ let bulk_sample_due t ~code_id =
 (* [fetch_line] lets callers that know the fetch line statically (the
    pre-decoded executor precomputes [addr lsr 4] per micro-op) skip the
    shift; [fetch] is the general entry point.  Called from another
-   module it is a real call (builds use [-opaque]), but it takes and
-   returns no float, so the call allocates nothing. *)
+   module it may or may not be inlined (the release build allows it),
+   but it takes and returns no float, so even a real call allocates
+   nothing. *)
 let fetch_line t ~addr ~line =
   if line <> t.last_iline then begin
     t.last_iline <- line;

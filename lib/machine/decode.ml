@@ -232,11 +232,12 @@ let[@inline] aready st b i = fmax (tget st b) (tget st i)
 (* Local issue paths: [Cpu.dispatch]/[Cpu.finish] re-expressed over
    the state cached in [st] (clock, counters, in-order bit, latency
    table) and fused with the latency class resolved at decode time.
-   Builds compile every library with [-opaque], so a call into [Cpu]
-   is never inlined and boxes every float it passes or returns; these
-   helpers are [@inline] within this module instead, and keep the hot
-   path allocation-free (INTERNALS.md, "Allocation-free hot path"):
-   stall sums and the sampler deadline are flat stores into [clk],
+   The release build (dune-workspace) can inline [Cpu.issue]* here
+   too, but these helpers stay: they skip the per-instruction counter
+   bumps that block batching replaces (see below).  Being [@inline]
+   within this module, they also keep the hot path allocation-free
+   whatever the cross-module inliner decides (INTERNALS.md,
+   "Allocation-free hot path"): stall sums and the sampler deadline are flat stores into [clk],
    [retire] calls out only when a sample is due, and the helpers whose
    completion time is unused return unit.  Same float arithmetic in the
    same order as [Cpu.issue]* — bit-identical timing (enforced by the

@@ -12,8 +12,8 @@ let create ?(bits = 15) () =
    The table size is a power of two so indexing is a pow2 mask (no mod),
    and the 2-bit saturation is written out with int compares — [min]/
    [max] here would go through the polymorphic compare primitives, a
-   function call per retired branch.  Builds use [-opaque], so the
-   executors call this function rather than inline it; it takes and
+   function call per retired branch.  The release build (dune-workspace)
+   may inline it into the executors; where it does not, it takes and
    returns only immediates, so the call allocates nothing. *)
 let[@inline] predict_and_update t ~pc ~taken =
   let idx = (pc lxor t.ghr) land t.mask in

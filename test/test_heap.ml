@@ -76,7 +76,7 @@ let test_string_roundtrip () =
       let p = Heap.alloc_string h s in
       Alcotest.(check string) "roundtrip" s (Heap.string_value h p);
       Alcotest.(check int) "length" (String.length s) (Heap.string_length h p))
-    [ ""; "a"; "hello world"; String.make 300 'x' ]
+    [ ""; "a"; "hello world"; String.make 300 'x'; String.init 256 Char.chr ]
 
 let test_intern_identity () =
   let h = mk () in
@@ -306,6 +306,33 @@ let test_object_sizes () =
     (Heap.object_size h
        (Heap.alloc_function h ~function_id:0 ~context:(Heap.undefined h)))
 
+(* A map is found from the word an object's map field points at; any
+   other word is not a map and raises [Not_found]: objects whose word 1
+   is a valid map id (an oddball's kind, a string's length), a map
+   field that points at a non-map object, and one at the end of the
+   heap. *)
+let test_map_of_non_map () =
+  let size_words = 1 lsl 18 in
+  let h = Heap.create ~size_words in
+  let o = Heap.alloc_empty_object h in
+  Alcotest.(check int) "object's own map" (Heap.empty_object_map_id h)
+    (Heap.map_of h o).Heap.map_id;
+  List.iter
+    (fun (what, word0) ->
+      let bad = Heap.alloc_empty_object h in
+      Heap.store h bad 0 word0;
+      Alcotest.check_raises what Not_found (fun () -> ignore (Heap.map_of h bad));
+      Alcotest.check_raises (what ^ " (map id)") Not_found (fun () ->
+          ignore (Heap.map_id_of_map_ptr h word0)))
+    [
+      ("undefined", Heap.undefined h);
+      ("true", Heap.true_value h);
+      ("string", Heap.alloc_string h "ab");
+      ("object", o);
+      ("heap number", Heap.alloc_heap_number h 1.5);
+      ("last word", Value.pointer (size_words - 1));
+    ]
+
 (* Heap memory is a /dev/zero mapping (Memory.create) that only the
    GC's finaliser unmaps; a dead heap that stayed reachable would keep
    its mapping, and its touched pages, for the life of the process. *)
@@ -358,6 +385,7 @@ let suite =
         Alcotest.test_case "map transitions shared" `Quick test_map_transitions_shared;
         Alcotest.test_case "out-of-line properties" `Quick test_many_properties_out_of_line;
         Alcotest.test_case "prototype chain" `Quick test_prototype_chain;
+        Alcotest.test_case "map_of on a non-map" `Quick test_map_of_non_map;
       ] );
     ( "heap-arrays",
       [
