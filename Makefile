@@ -25,8 +25,8 @@ bench-exec:
 
 # Determinism + decode gates, then a fresh exec micro-benchmark run
 # checked against the committed BENCH_exec.json by bench/guard.exe
-# (speedup tolerance VSPEC_PERF_TOLERANCE, default 10%; plus the
-# committed fusion-coverage floor and decoded-engine allocation limit).
+# (median-speedup tolerance VSPEC_PERF_TOLERANCE, default 10%; plus the
+# committed tracing-overhead and decoded-engine allocation limits).
 perf:
 	dune build @perf
 

@@ -99,13 +99,12 @@ let run_micro () =
 (* ------------------------------------------------------------------ *)
 (* Execution-engine micro-benchmarks (`--exec`, `make bench-exec`)     *)
 (*                                                                     *)
-(* Five synthetic code objects stress the hot shapes of JIT code —     *)
-(* pure ALU dependency chains, load/store traffic, deopt-check         *)
-(* sequences, and the two fusion-targeted patterns (check+branch       *)
-(* pairs, load+untag pairs) — and run them through both executors,     *)
-(* reporting simulated-instructions-per-second, the decoded/direct     *)
-(* speedup, the decoded engine's fusion coverage, and each engine's    *)
-(* minor-heap words per simulated instruction.  Results go to          *)
+(* Three synthetic code objects stress the hot shapes of JIT code —    *)
+(* pure ALU dependency chains, load/store traffic and deopt-check      *)
+(* sequences — and run them through both executors in interleaved      *)
+(* rounds, reporting the median simulated-instructions-per-second of   *)
+(* each engine, the median per-round decoded/direct speedup, and each  *)
+(* engine's minor-heap words per simulated instruction.  Results go to *)
 (* BENCH_exec.json; bench/guard.ml compares a fresh run against the    *)
 (* committed file.                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -183,57 +182,21 @@ let exec_codes () =
                  add ~dst:2 ~src:2 (Insn.Imm 2) ]))
       @ loop_tail)
   in
-  let checkbr =
-    (* Check+branch-heavy: four tst/deopt_if pairs and the loop's
-       cmp/b.cond back to back, all on one i-cache line, so every
-       check in the loop body fuses into a single dispatch slot. *)
-    let deopts =
-      [| { Code.dp_id = 0; reason = Insn.Not_a_smi; bc_pc = 0; frame = [||];
-           accumulator = Code.Fv_dead } |]
-    in
-    let cprov role = Insn.Check { group = Insn.G_not_smi; role } in
-    mk ~deopts
-      ([ i (Insn.Mov (0, Insn.Imm 0));
-         i (Insn.Mov (2, Insn.Imm 2)) (* even: Tst.Ne never fires *);
-         i (Insn.Label 0) ]
-      @ List.concat
-          (List.init 4 (fun _ ->
-               [ Insn.make ~prov:(cprov Insn.Role_condition)
-                   (Insn.Tst (2, Insn.Imm 1));
-                 Insn.make ~prov:(cprov Insn.Role_branch)
-                   (Insn.Deopt_if (Insn.Ne, 0)) ]))
-      @ loop_tail)
-  in
-  let smiload =
-    (* Load+untag-heavy: four ldr/asr pairs per iteration — the
-       software shape the ARM64 [jsldrsmi] extension fuses in
-       hardware, fused in the decoded engine's dispatch instead. *)
-    mk
-      ([ i (Insn.Mov (0, Insn.Imm 0));
-         i (Insn.Mov (1, Insn.Imm 16)) (* word 8 *);
-         i (Insn.Mov (2, Insn.Imm 0));
-         i (Insn.Label 0) ]
-      @ List.concat
-          (List.init 4 (fun k ->
-               [ i (Insn.Ldr (3 + k, Insn.mk_addr ~offset:(2 * k) 1));
-                 i (Insn.Alu { op = Insn.Asr; dst = 3 + k; src = 3 + k;
-                               rhs = Insn.Imm 1; set_flags = false }) ]))
-      @ loop_tail)
-  in
-  [ ("alu", alu); ("loads", loads); ("checks", checks);
-    ("checkbr", checkbr); ("smiload", smiload) ]
+  [ ("alu", alu); ("loads", loads); ("checks", checks) ]
 
 let exec_reps () =
   match Sys.getenv_opt "VSPEC_EXEC_REPS" with
   | Some s -> (try max 1 (int_of_string s) with _ -> 60)
   | None -> 60
 
+(* Timed rounds per kernel.  Each round times both engines back to
+   back, alternating which goes first, so a drift in host speed hits
+   both; the medians over the rounds discard a round disturbed by a
+   contention spike. *)
+let exec_rounds = 5
+
 type exec_meas = {
   m_rate : float;  (* simulated instructions / host second *)
-  m_insns : int;  (* simulated instructions retired in the timed reps *)
-  m_fused : int;  (* of which retired inside fused pairs *)
-  m_by_kind : int array;  (* fused-pair executions per Perf fuse kind *)
-  m_blocks : int;  (* block-granular counter charges taken *)
   m_words : float;  (* minor-heap words allocated per simulated insn *)
 }
 
@@ -251,10 +214,6 @@ let measure_exec ?(decoded = false) run code =
   if decoded then Decode.warm code;
   ignore (run cpu ~host ~code ~args:[||]);
   let insns0 = cpu.Cpu.counters.Perf.jit_instructions in
-  let fs = cpu.Cpu.fstats in
-  let fused0 = fs.Perf.fused_retired in
-  let kind0 = Array.copy fs.Perf.fused_by_kind in
-  let blocks0 = fs.Perf.batched_blocks in
   let t0 = Unix.gettimeofday () in
   let w0 = Gc.minor_words () in
   for _ = 1 to reps do
@@ -265,10 +224,6 @@ let measure_exec ?(decoded = false) run code =
   let insns = cpu.Cpu.counters.Perf.jit_instructions - insns0 in
   {
     m_rate = float_of_int insns /. (if dt > 0.0 then dt else 1e-9);
-    m_insns = insns;
-    m_fused = fs.Perf.fused_retired - fused0;
-    m_by_kind = Array.mapi (fun k v -> v - kind0.(k)) fs.Perf.fused_by_kind;
-    m_blocks = fs.Perf.batched_blocks - blocks0;
     m_words = words /. float_of_int (max 1 insns);
   }
 
@@ -277,14 +232,6 @@ let exec_report_path () =
   | Some ("off" | "none" | "0") -> None
   | Some "" | None -> Some "BENCH_exec.json"
   | Some p -> Some p
-
-(* Committed floor on the suite's fused-retired coverage, checked by
-   bench/guard.ml against every fresh run.  The measured suite-wide
-   coverage sits around 45–50%; anything under the floor means the
-   fusion pass stopped matching the hot patterns.  (Coverage is a
-   ratio of simulated-instruction counts, so it is deterministic —
-   the floor guards against decode regressions, not host noise.) *)
-let fusion_floor_pct = 50.0
 
 (* Committed ceiling on the tracing-off overhead, checked by
    bench/guard.ml.  The zero-cost-when-disabled contract says every
@@ -377,46 +324,71 @@ let measure_trace_overhead () =
   if !sink = max_int then print_char ' ';
   Float.max 0.0 overhead
 
-let pct part whole =
-  if whole <= 0 then 0.0 else 100.0 *. float_of_int part /. float_of_int whole
+(* One kernel's interleaved rounds: the median rate of each engine,
+   the median of the per-round speedups with their range, and the
+   largest allocation any round saw (the guard bounds it from above). *)
+type exec_row = {
+  r_direct : float;
+  r_decoded : float;
+  r_speedup : float;
+  r_speedups : float array;
+  r_direct_words : float;
+  r_decoded_words : float;
+}
+
+let measure_kernel code =
+  let rounds =
+    Array.init exec_rounds (fun k ->
+        let direct () = measure_exec Exec.run_direct code in
+        let decoded () = measure_exec ~decoded:true Decode.run code in
+        if k land 1 = 0 then
+          let d = direct () in
+          (d, decoded ())
+        else
+          let b = decoded () in
+          (direct (), b))
+  in
+  let col f = Array.map f rounds in
+  let worst f = Array.fold_left Float.max 0.0 (col f) in
+  let speedups = col (fun (d, b) -> b.m_rate /. d.m_rate) in
+  {
+    r_direct = Support.Stats.median (col (fun (d, _) -> d.m_rate));
+    r_decoded = Support.Stats.median (col (fun (_, b) -> b.m_rate));
+    r_speedup = Support.Stats.median speedups;
+    r_speedups = speedups;
+    r_direct_words = worst (fun (d, _) -> d.m_words);
+    r_decoded_words = worst (fun (_, b) -> b.m_words);
+  }
 
 let run_exec_bench () =
   Support.Table.section
     "Execution-engine micro-benchmarks (simulated insns/sec)";
   let rows =
-    List.map
-      (fun (name, code) ->
-        let direct = measure_exec Exec.run_direct code in
-        let decoded = measure_exec ~decoded:true Decode.run code in
-        (name, direct, decoded, decoded.m_rate /. direct.m_rate))
-      (exec_codes ())
+    List.map (fun (name, code) -> (name, measure_kernel code)) (exec_codes ())
   in
   let t =
-    Support.Table.create ~title:"pre-decoded engine vs direct interpreter"
+    Support.Table.create
+      ~title:
+        (Printf.sprintf
+           "pre-decoded engine vs direct interpreter (medians of %d rounds)"
+           exec_rounds)
       ~columns:
-        [ "bench"; "direct Mi/s"; "decoded Mi/s"; "speedup"; "fused%";
+        [ "bench"; "direct Mi/s"; "decoded Mi/s"; "speedup"; "range";
           "direct w/i"; "decoded w/i" ]
   in
   List.iter
-    (fun (name, direct, decoded, speedup) ->
+    (fun (name, r) ->
+      let lo, hi = Support.Stats.min_max r.r_speedups in
       Support.Table.add_row t
         [ name;
-          Printf.sprintf "%.1f" (direct.m_rate /. 1e6);
-          Printf.sprintf "%.1f" (decoded.m_rate /. 1e6);
-          Printf.sprintf "%.2fx" speedup;
-          Printf.sprintf "%.1f" (pct decoded.m_fused decoded.m_insns);
-          Printf.sprintf "%.4f" direct.m_words;
-          Printf.sprintf "%.4f" decoded.m_words ])
+          Printf.sprintf "%.1f" (r.r_direct /. 1e6);
+          Printf.sprintf "%.1f" (r.r_decoded /. 1e6);
+          Printf.sprintf "%.2fx" r.r_speedup;
+          Printf.sprintf "%.2f-%.2f" lo hi;
+          Printf.sprintf "%.4f" r.r_direct_words;
+          Printf.sprintf "%.4f" r.r_decoded_words ])
     rows;
   Support.Table.print t;
-  let suite_insns =
-    List.fold_left (fun a (_, _, d, _) -> a + d.m_insns) 0 rows
-  in
-  let suite_fused =
-    List.fold_left (fun a (_, _, d, _) -> a + d.m_fused) 0 rows
-  in
-  Printf.printf "suite fused-retired coverage: %.1f%% (floor %.1f%%)\n"
-    (pct suite_fused suite_insns) fusion_floor_pct;
   let trace_overhead = measure_trace_overhead () in
   Printf.printf "tracing-off overhead (guarded emit vs none): %.2f%% (limit %.1f%%)\n"
     trace_overhead trace_overhead_limit_pct;
@@ -425,35 +397,28 @@ let run_exec_bench () =
   | Some path ->
     let buf = Buffer.create 1024 in
     Buffer.add_string buf
-      (Printf.sprintf "{\n  \"reps\": %d,\n  \"iters\": %d,\n"
-         (exec_reps ()) exec_iters);
+      (Printf.sprintf
+         "{\n  \"reps\": %d,\n  \"iters\": %d,\n  \"rounds\": %d,\n"
+         (exec_reps ()) exec_iters exec_rounds);
     Buffer.add_string buf
       (Printf.sprintf
-         "  \"suite_fused_retired_pct\": %.1f,\n  \"fusion_floor_pct\": %.1f,\n\
-         \  \"trace_overhead_pct\": %.2f,\n\
+         "  \"trace_overhead_pct\": %.2f,\n\
          \  \"trace_overhead_limit_pct\": %.1f,\n\
          \  \"decoded_minor_words_limit\": %.2f,\n\
          \  \"benches\": [\n"
-         (pct suite_fused suite_insns) fusion_floor_pct trace_overhead
-         trace_overhead_limit_pct decoded_minor_words_limit);
+         trace_overhead trace_overhead_limit_pct decoded_minor_words_limit);
     List.iteri
-      (fun idx (name, direct, decoded, speedup) ->
-        let pairs =
-          String.concat ", "
-            (List.init Perf.num_fuse_kinds (fun k ->
-                 Printf.sprintf "%S: %d" (Perf.fuse_kind_name k)
-                   decoded.m_by_kind.(k)))
-        in
+      (fun idx (name, r) ->
         Buffer.add_string buf
           (Printf.sprintf
              "    {\"bench\": %S, \"direct_insns_per_sec\": %.0f, \
               \"decoded_insns_per_sec\": %.0f, \"speedup\": %.3f, \
-              \"fused_retired_pct\": %.1f, \"blocks\": %d, \
-              \"fused_pairs\": {%s}, \
+              \"speedup_rounds\": [%s], \
               \"minor_words_per_insn\": {\"direct\": %.4f, \"decoded\": %.4f}}%s\n"
-             name direct.m_rate decoded.m_rate speedup
-             (pct decoded.m_fused decoded.m_insns)
-             decoded.m_blocks pairs direct.m_words decoded.m_words
+             name r.r_direct r.r_decoded r.r_speedup
+             (String.concat ", "
+                (Array.to_list (Array.map (Printf.sprintf "%.3f") r.r_speedups)))
+             r.r_direct_words r.r_decoded_words
              (if idx = List.length rows - 1 then "" else ",")))
       rows;
     Buffer.add_string buf "  ]\n}\n";

@@ -184,6 +184,12 @@ let arg args i h = if i < Array.length args then args.(i) else Heap.undefined h
 
 let num (rt : Runtime.t) args i = Conv.to_number rt.Runtime.heap (arg args i rt.Runtime.heap)
 
+(* An integer argument: a SMI's value directly, without the boxed
+   float of [Conv.to_number]; anything else as [int_of_float (num ..)]. *)
+let int_arg (rt : Runtime.t) args i =
+  let v = arg args i rt.Runtime.heap in
+  if Value.is_smi v then Value.smi_value v else int_of_float (num rt args i)
+
 let math1 rt args ~cost f =
   rt.Runtime.charge_builtin ~cycles:cost;
   Heap.number rt.Runtime.heap (f (num rt args 0))
@@ -237,6 +243,17 @@ let regexp_map (rt : Runtime.t) =
 (* A top-level function rather than a local closure over [rt], which
    would be allocated on every dispatch. *)
 let charge (rt : Runtime.t) cycles = rt.Runtime.charge_builtin ~cycles
+
+let set_named_property h obj name v =
+  if Value.is_smi obj then err "cannot set property '%s' of a number" name;
+  match Heap.instance_type_of h obj with
+  | Heap.It_object | Heap.It_array -> Heap.set_property h obj name v
+  | Heap.It_function when name = "prototype" ->
+    if Value.is_pointer v && Heap.instance_type_of h v = Heap.It_object then
+      Heap.set_function_prototype h obj v
+    else err "a function's prototype must be an object"
+  | Heap.It_function -> err "cannot set property '%s' of a function" name
+  | _ -> err "cannot set property '%s'" name
 
 let rec dispatch (rt : Runtime.t) id ~this ~args =
   let h = rt.Runtime.heap in
@@ -303,8 +320,8 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     Value.smi r
   | 24 (* slice *) ->
     let n = Heap.array_length h this in
-    let from = if Array.length args > 0 then int_of_float (num rt args 0) else 0 in
-    let til = if Array.length args > 1 then int_of_float (num rt args 1) else n in
+    let from = if Array.length args > 0 then int_arg rt args 0 else 0 in
+    let til = if Array.length args > 1 then int_arg rt args 1 else n in
     let norm x = if x < 0 then max 0 (n + x) else min x n in
     let from = norm from and til = norm til in
     let len = max 0 (til - from) in
@@ -349,18 +366,18 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     this
   | 30 (* charCodeAt *) ->
     charge rt 20;
-    let i = int_of_float (num rt args 0) in
+    let i = int_arg rt args 0 in
     if i < 0 || i >= Heap.string_length h this then Heap.alloc_heap_number h Float.nan
     else Value.smi (Heap.string_char_code h this i)
   | 31 (* charAt *) ->
     charge rt 30;
-    let i = int_of_float (num rt args 0) in
+    let i = int_arg rt args 0 in
     if i < 0 || i >= Heap.string_length h this then Heap.intern h ""
     else Heap.alloc_string h (String.make 1 (Char.chr (Heap.string_char_code h this i land 0xFF)))
   | 32 (* string indexOf *) ->
     let s = Heap.string_value h this in
     let needle = Conv.to_js_string h (arg args 0 h) in
-    let from = if Array.length args > 1 then int_of_float (num rt args 1) else 0 in
+    let from = if Array.length args > 1 then int_arg rt args 1 else 0 in
     let n = String.length s and m = String.length needle in
     let rec go i =
       if i + m > n then -1
@@ -373,8 +390,8 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
   | 33 (* substring *) ->
     let s = Heap.string_value h this in
     let n = String.length s in
-    let a = int_of_float (num rt args 0) in
-    let b = if Array.length args > 1 then int_of_float (num rt args 1) else n in
+    let a = int_arg rt args 0 in
+    let b = if Array.length args > 1 then int_arg rt args 1 else n in
     let clamp x = max 0 (min x n) in
     let a = clamp a and b = clamp b in
     let lo = min a b and hi = max a b in
@@ -403,14 +420,14 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     charge rt (25 + (5 * Array.length args));
     Heap.alloc_string h
       (String.init (Array.length args) (fun i ->
-           Char.chr (int_of_float (num rt args i) land 0xFF)))
+           Char.chr (int_arg rt args i land 0xFF)))
   | 38 (* trim *) ->
     let s = Heap.string_value h this in
     charge rt (25 + (2 * String.length s));
     Heap.alloc_string h (String.trim s)
   | 39 (* repeat *) ->
     let s = Heap.string_value h this in
-    let n = max 0 (int_of_float (num rt args 0)) in
+    let n = max 0 (int_arg rt args 0) in
     if n * String.length s > 100000 then err "repeat result too large";
     let b = Buffer.create (n * String.length s) in
     for _ = 1 to n do
@@ -422,7 +439,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     charge rt 60;
     let s = String.trim (Conv.to_js_string h (arg args 0 h)) in
     let radix =
-      if Array.length args > 1 then int_of_float (num rt args 1) else 10
+      if Array.length args > 1 then int_arg rt args 1 else 10
     in
     let parse_with_radix s radix =
       let sign, s =
@@ -523,8 +540,7 @@ let rec dispatch (rt : Runtime.t) id ~this ~args =
     charge rt 23;
     let obj = arg args 0 h in
     let name = Conv.to_js_string h (arg args 1 h) in
-    if Value.is_smi obj then err "cannot set property '%s' of a number" name;
-    Heap.set_property h obj name (arg args 2 h);
+    set_named_property h obj name (arg args 2 h);
     Heap.undefined h
   | 106 (* rt_get_keyed *) ->
     charge rt 17;
@@ -707,8 +723,10 @@ and generic_set_keyed rt obj key v =
     if i >= 0 && i <= len then Heap.array_set h obj i v
     else err "sparse array write at index %d (length %d)" i len
   end
-  else if Value.is_pointer obj then
-    Heap.set_property h obj (Conv.to_js_string h key) v
+  else if Value.is_pointer obj
+          && (Heap.instance_type_of h obj = Heap.It_object
+             || Heap.instance_type_of h obj = Heap.It_array)
+  then Heap.set_property h obj (Conv.to_js_string h key) v
   else err "cannot index-assign %s" (Conv.typeof_string h obj)
 
 let id_regexp_ctor = id_regexp_ctor

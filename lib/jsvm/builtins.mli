@@ -14,6 +14,20 @@ val dispatch : Runtime.t -> int -> this:int -> args:int array -> int
 
 val name_of : int -> string
 
+val int_arg : Runtime.t -> int array -> int -> int
+(** [int_arg rt args i]: argument [i] as an integer, as the string and
+    array builtins read indexes and char codes — [int_of_float] of its
+    number value (a missing argument reads as undefined), taken straight
+    from the tag for a SMI. *)
+
+val set_named_property : Heap.t -> int -> string -> int -> unit
+(** [obj.name = v] on any receiver, shared by the interpreter and the
+    optimizing compiler's generic store so both tiers agree.  Plain
+    objects and arrays take the property.  A function has no named
+    slots: [f.prototype = o] stores [o] (which must be an object) in
+    its prototype field, and any other name raises {!Js_error}, as does
+    a primitive receiver. *)
+
 val string_method : string -> int option
 (** Builtin id implementing a method of primitive strings. *)
 

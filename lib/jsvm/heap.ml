@@ -429,6 +429,12 @@ let grow_props t obj ~props_field needed =
 
 let set_property t obj name v =
   let info = map_of t obj in
+  (* Only plain objects and arrays have the named-property slot layout;
+     on any other object the slots would overwrite its fixed fields (a
+     function's context and prototype words). *)
+  (match info.itype with
+  | It_object | It_array -> ()
+  | _ -> invalid_arg ("Heap.set_property: no named slots for " ^ name));
   match own_slot info name with
   | Some slot -> store_slot t obj slot v
   | None ->
@@ -638,6 +644,8 @@ let function_prototype t f =
     store t f function_prototype_field proto;
     proto
   end
+
+let set_function_prototype t f proto = store t f function_prototype_field proto
 
 let alloc_context t ~parent ~slots =
   let idx = alloc_with_map t t.context_map (context_slots_field + slots) in

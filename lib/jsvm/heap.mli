@@ -144,7 +144,9 @@ val get_property : t -> int -> string -> int option
 (** Follows the prototype chain. *)
 
 val set_property : t -> int -> string -> int -> unit
-(** Adds via map transition when the property is new. *)
+(** Adds via map transition when the property is new.  Only plain
+    objects and arrays carry named properties: any other receiver
+    raises [Invalid_argument]. *)
 
 val load_slot : t -> int -> int -> int
 (** [load_slot t obj slot] reads property slot [slot] (inline or
@@ -184,6 +186,10 @@ val is_function : t -> int -> bool
 val function_context : t -> int -> int
 val function_prototype : t -> int -> int
 (** Lazily creates the prototype object. *)
+
+val set_function_prototype : t -> int -> int -> unit
+(** [set_function_prototype t f proto] stores [proto] in [f]'s
+    prototype field. *)
 
 val alloc_context : t -> parent:int -> slots:int -> int
 val context_parent : t -> int -> int

@@ -325,8 +325,7 @@ let set_named rt fvec slot obj name v =
           Feedback.record_prop fvec slot ~map_id:old_map
             (Feedback.Transition { new_map = new_info.Heap.map_id; slot = s })
       end
-    | Heap.It_function -> Heap.set_property h obj name v
-    | _ -> err "cannot set property '%s'" name
+    | _ -> Builtins.set_named_property h obj name v
   end
 
 let get_keyed rt fvec slot obj key =

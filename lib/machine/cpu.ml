@@ -154,7 +154,6 @@ type t = {
   freg_ready : float array;
   mutable last_iline : int;
   counters : Perf.counters;
-  fstats : Perf.fusion;
   sampler : Perf.sampler option;
   mutable cur_code : int;   (* attribution target for the PC sampler *)
   mutable cur_pc : int;
@@ -222,7 +221,6 @@ let create ?sampler cfg =
     freg_ready = Array.make Insn.num_fp_regs 0.0;
     last_iline = -1;
     counters = Perf.create_counters ();
-    fstats = Perf.create_fusion ();
     sampler;
     cur_code = Perf.runtime_code_id;
     cur_pc = 0;
@@ -237,8 +235,7 @@ let reset t =
   t.clk.frontend_stall <- 0.0;
   t.clk.backend_stall <- 0.0;
   t.last_iline <- -1;
-  Perf.reset_counters t.counters;
-  Perf.reset_fusion t.fstats
+  Perf.reset_counters t.counters
 
 let cycles t = t.clk.high
 

@@ -110,10 +110,6 @@ type t = {
   counters : Perf.counters;
       (** [frontend_stall]/[backend_stall] here are only as fresh as
           the last {!publish_stalls}; every executor exit publishes *)
-  fstats : Perf.fusion;
-      (** fusion/batching coverage of the pre-decoded engine; stays
-          all-zero under the direct interpreter.  Not part of digested
-          results (see {!Perf.fusion}). *)
   sampler : Perf.sampler option;
   mutable cur_code : int;   (** attribution target for the PC sampler *)
   mutable cur_pc : int;

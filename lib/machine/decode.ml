@@ -1,21 +1,17 @@
-(* Pre-decoded threaded-code execution engine with superinstruction
-   fusion and block-batched accounting.
+(* Pre-decoded threaded-code execution engine with block-batched
+   accounting.
 
    [compile] lowers a [Code.t] once into a flat array of micro-op
-   closures: operand indexes, effective-address components, latency
-   classes, check provenance, branch targets, fetch addresses and
-   cache-line numbers are all resolved at decode time.  A peephole
-   fusion pass then pairs hot adjacent micro-ops (compare + deopt
-   branch, compare + b.cond, load + untag shift — the software
-   [jsldrsmi] analogue — and disjoint ALU chains) into single fused
-   closures, and a batching pass precomputes each straight-line
-   block's aggregate static counter cost so the dispatch loop charges
-   one integer update per block instead of per instruction; only
-   dynamic events (branch resolution, memory hierarchy, sampler
-   windows, watchdog fuel) are modeled individually.
-   Pseudo-instructions (labels, checkpoints) are compiled away and
-   branch targets are remapped onto the compacted dispatch-slot array.
-   VSPEC_FUSE=0 / VSPEC_BATCH=0 disable either pass.
+   closures, one per non-pseudo instruction: operand indexes,
+   effective-address components, latency classes, check provenance,
+   branch targets, fetch addresses and cache-line numbers are all
+   resolved at decode time.  Each straight-line block's aggregate
+   static counter cost is precomputed, so the dispatch loop charges one
+   integer update per block instead of per instruction; only dynamic
+   events (branch resolution, memory hierarchy, sampler windows,
+   watchdog fuel) are modeled individually.  Pseudo-instructions
+   (labels, checkpoints) are compiled away and branch targets are
+   remapped onto the compacted micro-op array.
 
    The program is cached on the code object itself
    ([Code.decode_cache]); recompilation allocates a fresh [Code.t], so
@@ -88,12 +84,9 @@ type st = {
   cpu : Cpu.t;
   clk : Cpu.clock; (* = cpu.clk, cached to save an indirection *)
   inorder : bool; (* = cpu.cfg.inorder *)
-  sampling : bool; (* = cpu.sampler <> None; read by fused micro-ops *)
   lat : float array; (* = cpu.lat *)
   bp : Predictor.t; (* = cpu.bp, hoisted out of the per-branch path *)
   counters : Perf.counters;
-  fstats : Perf.fusion;
-  binc : int; (* 1 when block batching is on: blocks charged per entry *)
   regs : int array;
   fregs : float array;
   slots : int array;
@@ -132,12 +125,9 @@ type delta = {
   d_chk : int;
   d_chkbr : int;
   d_groups : int array; (* length 6; the shared all-zero array if empty *)
-  d_fused : int array; (* per Perf fuse kind; shared zeros if empty *)
-  d_fused_retired : int;
 }
 
 let zeros6 = Array.make 6 0
-let zerosf = Array.make Perf.num_fuse_kinds 0
 
 let no_delta =
   {
@@ -149,71 +139,38 @@ let no_delta =
     d_chk = 0;
     d_chkbr = 0;
     d_groups = zeros6;
-    d_fused = zerosf;
-    d_fused_retired = 0;
   }
 
-(* Decode-time static coverage of one compiled program. *)
+(* Decode-time static shape of one compiled program. *)
 type stats = {
   st_uops : int;
-  st_slots : int; (* dispatch slots = uops - fused pairs (+1 sentinel) *)
   st_blocks : int;
-  st_fused : int array; (* static fused pairs per Perf fuse kind *)
 }
 
-(* The compiled form: one closure per dispatch slot (a single
-   instruction or a fused pair) plus flat side arrays of decode-time
-   constants consumed by the dispatch loop's shared prologue (fetch
-   address or -1 when the i-cache line provably cannot have changed,
-   original instruction index for sampler attribution, basic-block id
-   at block-leader slots with its batched counter delta, and a
-   machine-fault refund per slot). *)
+(* The compiled form: one closure per micro-op plus flat side arrays of
+   decode-time constants consumed by the dispatch loop's shared
+   prologue (fetch address or -1 when the i-cache line provably cannot
+   have changed, original instruction index for sampler attribution,
+   basic-block id at block leaders with its batched counter delta, and
+   a machine-fault refund per micro-op). *)
 type program = {
   p_name : string;
   p_code_id : int;
   p_uops : uop array;
-      (* [length = slots + 1]: the last slot is a sentinel that faults
+      (* [length = uops + 1]: the last entry is a sentinel that faults
          on falling off the code end, so the dispatch loop needs no
-         per-slot bounds check (every next-index is in range by
+         per-uop bounds check (every next-index is in range by
          construction). *)
   p_addrs : int array; (* fetch address, or -1 = statically elided *)
   p_pcs : int array;
-  p_blocks : int array; (* block id at block-leader slots, else -1 *)
+  p_blocks : int array; (* block id at block leaders, else -1 *)
   p_deltas : delta array; (* per block id: batched static cost *)
   p_faults : delta array;
-      (* per slot: refund when a Machine_fault escapes this slot *)
-  p_fuse : bool;
-  p_batch : bool; (* flags the program was compiled under *)
+      (* per uop: refund when a Machine_fault escapes this uop *)
   p_stats : stats;
 }
 
 type Code.cache += Decoded of program
-
-(* ------------------------------------------------------------------ *)
-(* Engine configuration: VSPEC_FUSE / VSPEC_BATCH escape hatches       *)
-(* (mirroring VSPEC_EXEC=direct) plus programmatic overrides for the   *)
-(* determinism tests.  [get] recompiles when a cached program was      *)
-(* built under different flags, so toggling mid-process is safe.       *)
-(* ------------------------------------------------------------------ *)
-
-let env_flag name =
-  lazy
-    (match Sys.getenv_opt name with
-    | Some ("0" | "off" | "no" | "false") -> false
-    | Some _ | None -> true)
-
-let env_fuse = env_flag "VSPEC_FUSE"
-let env_batch = env_flag "VSPEC_BATCH"
-let fuse_override : bool option ref = ref None
-let batch_override : bool option ref = ref None
-let set_fuse o = fuse_override := o
-let set_batch o = batch_override := o
-
-let fuse_enabled () =
-  match !fuse_override with Some b -> b | None -> Lazy.force env_fuse
-
-let batch_enabled () =
-  match !batch_override with Some b -> b | None -> Lazy.force env_batch
 
 (* Ready times are completion timestamps: always finite, never NaN and
    never negative, so a branchy max is exactly [Float.max] without the
@@ -231,7 +188,7 @@ let[@inline] aready st b i = fmax (tget st b) (tget st i)
 
 (* Local issue paths: [Cpu.dispatch]/[Cpu.finish] re-expressed over
    the state cached in [st] (clock, counters, in-order bit, latency
-   table) and fused with the latency class resolved at decode time.
+   table) and combined with the latency class resolved at decode time.
    The release build (dune-workspace) can inline [Cpu.issue]* here
    too, but these helpers stay: they skip the per-instruction counter
    bumps that block batching replaces (see below).  Being [@inline]
@@ -330,9 +287,8 @@ let[@inline] issue_branch st ~pc ~ready ~taken =
   end;
   retire st complete
 
-(* Batched accounting: one static-counter update per basic-block entry
-   (or per slot when batching is off — the deltas then describe single
-   slots).  Integer adds only; commutes with everything the micro-op
+(* Batched accounting: one static-counter update per basic-block
+   entry.  Integer adds only; commutes with everything the micro-op
    bodies do, so charging at entry instead of per retired instruction
    is invisible in the final counters. *)
 let charge st (d : delta) =
@@ -353,24 +309,11 @@ let charge st (d : delta) =
         if v <> 0 then Array.unsafe_set pg gi (Array.unsafe_get pg gi + v)
       done
     end
-  end;
-  let fs = st.fstats in
-  fs.Perf.batched_blocks <- fs.Perf.batched_blocks + st.binc;
-  if d.d_fused_retired <> 0 then begin
-    fs.Perf.fused_retired <- fs.Perf.fused_retired + d.d_fused_retired;
-    let f = d.d_fused in
-    let pf = fs.Perf.fused_by_kind in
-    for fi = 0 to Perf.num_fuse_kinds - 1 do
-      let v = Array.unsafe_get f fi in
-      if v <> 0 then Array.unsafe_set pf fi (Array.unsafe_get pf fi + v)
-    done
   end
 
 (* Exact inverse of the unexecuted suffix of a block, applied on the
    cold early-exit paths (deopt bailouts, machine faults) so batched
-   counters match what the direct interpreter actually retired.
-   [batched_blocks] is a charge-event count, not a per-instruction
-   counter, so it is deliberately not refunded. *)
+   counters match what the direct interpreter actually retired. *)
 let refund st (d : delta) =
   if d != no_delta then begin
     let c = st.counters in
@@ -390,16 +333,6 @@ let refund st (d : delta) =
           if v <> 0 then Array.unsafe_set pg gi (Array.unsafe_get pg gi - v)
         done
       end
-    end;
-    if d.d_fused_retired <> 0 then begin
-      let fs = st.fstats in
-      fs.Perf.fused_retired <- fs.Perf.fused_retired - d.d_fused_retired;
-      let f = d.d_fused in
-      let pf = fs.Perf.fused_by_kind in
-      for fi = 0 to Perf.num_fuse_kinds - 1 do
-        let v = Array.unsafe_get f fi in
-        if v <> 0 then Array.unsafe_set pf fi (Array.unsafe_get pf fi - v)
-      done
     end
   end
 
@@ -504,53 +437,10 @@ let set_alu_flags st op a b raw =
     set_logic_flags st raw
 
 (* ------------------------------------------------------------------ *)
-(* Superinstruction fusion                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* Single-cycle C_alu operators; Mul/Sdiv/Smod have their own latency
-   classes and are never fused. *)
-let simple_alu = function
-  | Insn.Add | Insn.Sub | Insn.And | Insn.Orr | Insn.Eor | Insn.Lsl
-  | Insn.Lsr | Insn.Asr ->
-    true
-  | Insn.Mul | Insn.Sdiv | Insn.Smod -> false
-
-(* Peephole classifier: which fused micro-op (if any) covers the
-   adjacent pair [k1; k2]?  Returns a [Perf] fuse-kind index or -1.
-   The caller has already established that [k2] is not a branch target
-   and that both instructions share an i-cache fetch line (so skipping
-   the intra-pair fetch is provably a no-op).
-
-   The patterns are the hot shapes the paper's measurements point at:
-   the compare feeding a conditional deopt branch (every eager check),
-   compare + conditional branch (loop back-edges and bounds checks
-   lowered as branches), load + untag shift (the software analogue of
-   the [jsldrsmi] extension's fused untagging), and ALU chains on
-   disjoint registers (straight-line arithmetic between checks). *)
-let fuse_kind_of k1 k2 =
-  match (k1, k2) with
-  | (Insn.Cmp _ | Insn.Tst _), Insn.Deopt_if _ -> Perf.f_check_deopt
-  | (Insn.Cmp _ | Insn.Tst _), Insn.Bcond _ -> Perf.f_cmp_bcond
-  | ( Insn.Ldr (d, _),
-      Insn.Alu { op; dst = _; src; rhs = Insn.Imm _; set_flags = false } )
-    when (op = Insn.Asr || op = Insn.Lsr) && src = d ->
-    Perf.f_load_untag
-  | ( Insn.Alu { op = o1; dst = d1; src = _; rhs = rhs1; set_flags = false },
-      Insn.Alu { op = o2; dst = d2; src = s2; rhs = rhs2; set_flags = false } )
-    when simple_alu o1 && simple_alu o2
-         && (match rhs1 with Insn.Reg _ | Insn.Imm _ -> true)
-         && d1 <> d2 && s2 <> d1
-         && (match rhs2 with Insn.Reg r -> r <> d1 | Insn.Imm _ -> true) ->
-    Perf.f_alu_alu
-  | _ -> -1
-
-(* ------------------------------------------------------------------ *)
 (* Decode                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let compile (code : Code.t) : program =
-  let fuse = fuse_enabled () in
-  let batch = batch_enabled () in
   let insns = code.Code.insns in
   let n = Array.length insns in
   let name = code.Code.name in
@@ -597,214 +487,90 @@ let compile (code : Code.t) : program =
     | _ -> ()
   done;
 
-  (* ---- fusion pass: assign micro-ops to dispatch slots ----
-     Greedy adjacent pairing within a block.  A pair never absorbs a
-     leader (branches must be able to land on the second instruction)
-     and never crosses an i-cache fetch line (so the intra-pair fetch
-     is provably redundant). *)
-  let slot_of_uop = Array.make (n_uops + 1) 0 in
-  let slot_first_uop = Array.make (max 1 n_uops) 0 in
-  let slot_kind = Array.make (max 1 n_uops) (-1) in
-  let slot_firstb = Array.make (n_uops + 1) false in
-  let n_slots = ref 0 in
-  let u = ref 0 in
-  while !u < n_uops do
-    let s = !n_slots in
-    slot_of_uop.(!u) <- s;
-    slot_first_uop.(s) <- !u;
-    slot_firstb.(!u) <- true;
-    let fk =
-      if
-        fuse
-        && !u + 1 < n_uops
-        && (not leader.(!u + 1))
-        && uline !u = uline (!u + 1)
-      then fuse_kind_of (ku !u) (ku (!u + 1))
-      else -1
-    in
-    slot_kind.(s) <- fk;
-    if fk >= 0 then begin
-      slot_of_uop.(!u + 1) <- s;
-      u := !u + 2
-    end
-    else incr u;
-    incr n_slots
-  done;
-  let n_slots = !n_slots in
-  slot_of_uop.(n_uops) <- n_slots;
-  slot_firstb.(n_uops) <- true;
-  let starget l = slot_of_uop.(utarget l) in
-
   (* ---- static per-uop accounting ----
      What the direct interpreter's loop and issue paths add to the
      integer counters for one retired instruction: always one
      jit_instruction; one retired instruction unless Nop (which never
      issues); loads/stores/branches by issue path; check provenance
-     from [Insn.prov].  Fused-pair coverage counters ride on the
-     SECOND uop of each pair so a machine fault in the first half
-     refunds the whole pair. *)
-  let du_instr = Array.make (max 1 n_uops) 1 in
-  let du_loads = Array.make (max 1 n_uops) 0 in
-  let du_stores = Array.make (max 1 n_uops) 0 in
-  let du_branches = Array.make (max 1 n_uops) 0 in
-  let du_chk = Array.make (max 1 n_uops) 0 in
-  let du_chkbr = Array.make (max 1 n_uops) 0 in
-  let du_grp = Array.make (max 1 n_uops) (-1) in
-  let du_fusedk = Array.make (max 1 n_uops) (-1) in
-  for u = 0 to n_uops - 1 do
+     from [Insn.prov]. *)
+  let cost u =
     let insn = insns.(insn_of_uop.(u)) in
-    (match insn.Insn.kind with
-    | Insn.Nop -> du_instr.(u) <- 0
-    | Insn.Ldr _ | Insn.Ldr_f _ | Insn.Alu_mem _ | Insn.Cmp_mem _
-    | Insn.Js_ldr_smi _ | Insn.Js_chk_map _ ->
-      du_loads.(u) <- 1
-    | Insn.Str _ | Insn.Str_f _ -> du_stores.(u) <- 1
-    | Insn.B _ | Insn.Bcond _ | Insn.Deopt_if _ | Insn.Ret ->
-      du_branches.(u) <- 1
-    | _ -> ());
-    match insn.Insn.prov with
-    | Insn.Check { group; _ } ->
-      du_chk.(u) <- 1;
-      du_grp.(u) <- Insn.group_index group;
-      (match insn.Insn.kind with
-      | Insn.Deopt_if _ -> du_chkbr.(u) <- 1
-      | _ -> ())
-    | Insn.Main_line | Insn.Shared -> ()
-  done;
-  for s = 0 to n_slots - 1 do
-    if slot_kind.(s) >= 0 then
-      du_fusedk.(slot_first_uop.(s) + 1) <- slot_kind.(s)
-  done;
+    let k = insn.Insn.kind in
+    let instr, loads, stores, branches =
+      match k with
+      | Insn.Nop -> (0, 0, 0, 0)
+      | Insn.Ldr _ | Insn.Ldr_f _ | Insn.Alu_mem _ | Insn.Cmp_mem _
+      | Insn.Js_ldr_smi _ | Insn.Js_chk_map _ ->
+        (1, 1, 0, 0)
+      | Insn.Str _ | Insn.Str_f _ -> (1, 0, 1, 0)
+      | Insn.B _ | Insn.Bcond _ | Insn.Deopt_if _ | Insn.Ret -> (1, 0, 0, 1)
+      | _ -> (1, 0, 0, 0)
+    in
+    let chk, chkbr, groups =
+      match insn.Insn.prov with
+      | Insn.Check { group; _ } ->
+        let g = Array.make 6 0 in
+        g.(Insn.group_index group) <- 1;
+        (1, (match k with Insn.Deopt_if _ -> 1 | _ -> 0), g)
+      | Insn.Main_line | Insn.Shared -> (0, 0, zeros6)
+    in
+    {
+      d_instr = instr;
+      d_jit = 1;
+      d_loads = loads;
+      d_stores = stores;
+      d_branches = branches;
+      d_chk = chk;
+      d_chkbr = chkbr;
+      d_groups = groups;
+    }
+  in
+  let plus a b =
+    {
+      d_instr = a.d_instr + b.d_instr;
+      d_jit = a.d_jit + b.d_jit;
+      d_loads = a.d_loads + b.d_loads;
+      d_stores = a.d_stores + b.d_stores;
+      d_branches = a.d_branches + b.d_branches;
+      d_chk = a.d_chk + b.d_chk;
+      d_chkbr = a.d_chkbr + b.d_chkbr;
+      d_groups =
+        (if a.d_groups == zeros6 then b.d_groups
+         else if b.d_groups == zeros6 then a.d_groups
+         else Array.init 6 (fun g -> a.d_groups.(g) + b.d_groups.(g)));
+    }
+  in
 
-  (* ---- accounting blocks and their batched deltas ----
-     With batching on, an accounting block is a control-flow block;
-     with batching off every slot is its own block, which keeps one
-     loop shape for all four engine configurations while restoring
-     per-slot charging. *)
-  let block_start u = if batch then leader.(u) else slot_firstb.(u) in
+  (* ---- accounting blocks, batched deltas and early-exit refunds ----
+     A block's delta is charged once at its leader.  [refund_at.(u)] is
+     the static cost of the block suffix strictly AFTER micro-op [u]:
+     exactly what the block-entry charge over-counted if execution
+     leaves the block right after [u] retires (deopt taken) or while
+     [u] itself executes (machine fault; the direct engine has fully
+     charged the faulting instruction by then, since its issue precedes
+     the memory access).  An empty suffix is the shared [no_delta],
+     which [refund] skips. *)
+  let refund_at = Array.make (n_uops + 1) no_delta in
+  let blocks = Array.make (n_uops + 1) (-1) in
+  let deltas = ref [] in
   let n_blocks = ref 0 in
-  for u = 0 to n_uops - 1 do
-    if block_start u then incr n_blocks
+  let hi = ref (n_uops - 1) in
+  for u = n_uops - 1 downto 0 do
+    if u < !hi then refund_at.(u) <- plus (cost (u + 1)) refund_at.(u + 1);
+    if leader.(u) then begin
+      deltas := plus (cost u) refund_at.(u) :: !deltas;
+      incr n_blocks;
+      hi := u - 1
+    end
   done;
   let n_blocks = !n_blocks in
-  let block_lo = Array.make (max 1 n_blocks) 0 in
-  let block_of_uop = Array.make (max 1 n_uops) 0 in
-  let blk = ref (-1) in
+  let p_deltas = Array.of_list !deltas in
+  let b = ref 0 in
   for u = 0 to n_uops - 1 do
-    if block_start u then begin
-      incr blk;
-      block_lo.(!blk) <- u
-    end;
-    block_of_uop.(u) <- !blk
-  done;
-  let block_hi b =
-    if b + 1 < n_blocks then block_lo.(b + 1) - 1 else n_uops - 1
-  in
-  let g_scratch = Array.make 6 0 in
-  let f_scratch = Array.make Perf.num_fuse_kinds 0 in
-  let p_deltas = Array.make (max 1 n_blocks) no_delta in
-  for b = 0 to n_blocks - 1 do
-    let lo = block_lo.(b) and hi = block_hi b in
-    let ai = ref 0
-    and al = ref 0
-    and asr_ = ref 0
-    and ab = ref 0
-    and ac = ref 0
-    and acb = ref 0
-    and afr = ref 0 in
-    Array.fill g_scratch 0 6 0;
-    Array.fill f_scratch 0 Perf.num_fuse_kinds 0;
-    let any_g = ref false and any_f = ref false in
-    for u = lo to hi do
-      ai := !ai + du_instr.(u);
-      al := !al + du_loads.(u);
-      asr_ := !asr_ + du_stores.(u);
-      ab := !ab + du_branches.(u);
-      ac := !ac + du_chk.(u);
-      acb := !acb + du_chkbr.(u);
-      let g = du_grp.(u) in
-      if g >= 0 then begin
-        g_scratch.(g) <- g_scratch.(g) + 1;
-        any_g := true
-      end;
-      let fk = du_fusedk.(u) in
-      if fk >= 0 then begin
-        f_scratch.(fk) <- f_scratch.(fk) + 1;
-        afr := !afr + 2;
-        any_f := true
-      end
-    done;
-    p_deltas.(b) <-
-      {
-        d_instr = !ai;
-        d_jit = hi - lo + 1;
-        d_loads = !al;
-        d_stores = !asr_;
-        d_branches = !ab;
-        d_chk = !ac;
-        d_chkbr = !acb;
-        d_groups = (if !any_g then Array.copy g_scratch else zeros6);
-        d_fused = (if !any_f then Array.copy f_scratch else zerosf);
-        d_fused_retired = !afr;
-      }
-  done;
-
-  (* ---- early-exit refunds ----
-     [refund_at.(u)] is the static cost of the block suffix strictly
-     AFTER micro-op [u]: exactly what the block-entry charge
-     over-counted if execution leaves the block right after [u]
-     retires (deopt taken) or while [u] itself executes (machine
-     fault; the direct engine has fully charged the faulting
-     instruction by then, since its issue precedes the memory
-     access). *)
-  let refund_at = Array.make (n_uops + 1) no_delta in
-  for b = 0 to n_blocks - 1 do
-    let lo = block_lo.(b) and hi = block_hi b in
-    let ai = ref 0
-    and aj = ref 0
-    and al = ref 0
-    and asr_ = ref 0
-    and ab = ref 0
-    and ac = ref 0
-    and acb = ref 0
-    and afr = ref 0 in
-    Array.fill g_scratch 0 6 0;
-    Array.fill f_scratch 0 Perf.num_fuse_kinds 0;
-    let any_g = ref false and any_f = ref false in
-    for u = hi downto lo do
-      if !aj > 0 then
-        refund_at.(u) <-
-          {
-            d_instr = !ai;
-            d_jit = !aj;
-            d_loads = !al;
-            d_stores = !asr_;
-            d_branches = !ab;
-            d_chk = !ac;
-            d_chkbr = !acb;
-            d_groups = (if !any_g then Array.copy g_scratch else zeros6);
-            d_fused = (if !any_f then Array.copy f_scratch else zerosf);
-            d_fused_retired = !afr;
-          };
-      ai := !ai + du_instr.(u);
-      aj := !aj + 1;
-      al := !al + du_loads.(u);
-      asr_ := !asr_ + du_stores.(u);
-      ab := !ab + du_branches.(u);
-      ac := !ac + du_chk.(u);
-      acb := !acb + du_chkbr.(u);
-      let g = du_grp.(u) in
-      if g >= 0 then begin
-        g_scratch.(g) <- g_scratch.(g) + 1;
-        any_g := true
-      end;
-      let fk = du_fusedk.(u) in
-      if fk >= 0 then begin
-        f_scratch.(fk) <- f_scratch.(fk) + 1;
-        afr := !afr + 2;
-        any_f := true
-      end
-    done
+    if leader.(u) then begin
+      blocks.(u) <- !b;
+      incr b
+    end
   done;
 
   (* Operand validation, once per instruction at decode time: the
@@ -843,10 +609,10 @@ let compile (code : Code.t) : program =
     (b, match a.Insn.index with None -> b | Some ix -> vreg ix)
   in
 
-  (* The body of one singleton micro-op: the instruction's semantics
-     with every operand pre-resolved.  [next] is the slot-space
-     fall-through successor; [rf] the early-exit refund applied when
-     this micro-op leaves its block mid-way (deopt bailout paths). *)
+  (* The body of one micro-op: the instruction's semantics with every
+     operand pre-resolved.  [next] is the fall-through successor; [rf]
+     the early-exit refund applied when this micro-op leaves its block
+     mid-way (deopt bailout paths). *)
   let body i ~next ~rf (k : Insn.kind) : uop =
     let bpc = base + i in
     match k with
@@ -1144,12 +910,12 @@ let compile (code : Code.t) : program =
         st.rr.(d) <- t;
         next
     | Insn.B l ->
-      let tgt = starget l in
+      let tgt = utarget l in
       fun st ->
         issue_branch st ~pc:bpc ~ready:0.0 ~taken:true;
         tgt
     | Insn.Bcond (c, l) ->
-      let tgt = starget l in
+      let tgt = utarget l in
       let cond = cond_fn c in
       fun st ->
         let taken = cond st in
@@ -1332,206 +1098,25 @@ let compile (code : Code.t) : program =
         next
   in
 
-  (* ---- fused micro-op builders ----
-     Each fused closure executes both instructions' semantics and both
-     issue paths in exactly the direct interpreter's order; the only
-     per-instruction prologue work between the halves is the sampler's
-     attribution PC (the intra-pair fetch is statically a no-op, and
-     counters are batched).  [pc2]/[bpc2] are the second instruction's
-     sampler pc and branch address. *)
-  let fused_cmp_branch s u1 =
-    let u2 = u1 + 1 in
-    let i2 = insn_of_uop.(u2) in
-    let next = s + 1 in
-    let pc2 = i2 in
-    let bpc2 = base + i2 in
-    let is_tst, a, rhs =
-      match ku u1 with
-      | Insn.Cmp (a, rhs) -> (false, a, rhs)
-      | Insn.Tst (a, rhs) -> (true, a, rhs)
-      | _ -> assert false
-    in
-    let a = vreg a in
-    let b_reg, b_imm =
-      match rhs with Insn.Reg r -> (vreg r, 0) | Insn.Imm v -> (-1, v)
-    in
-    match ku u2 with
-    | Insn.Deopt_if (c, dp) ->
-      let cond = cond_fn c in
-      let point = deopts.(dp) in
-      let reason = point.Code.reason in
-      let rf = refund_at.(u2) in
-      fun st ->
-        let av = rget st a in
-        let bv = if b_reg >= 0 then rget st b_reg else b_imm in
-        let ready =
-          if b_reg >= 0 then fmax (tget st a) (tget st b_reg) else tget st a
-        in
-        let t = issue_alu st ~ready in
-        if is_tst then set_logic_flags st (av land bv)
-        else set_add_sub_flags st av bv (av - bv) true;
-        st.clk.Cpu.flags_ready <- t;
-        if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-        let taken = cond st in
-        issue_branch st ~pc:bpc2 ~ready:t ~taken;
-        if taken then begin
-          st.counters.Perf.deopt_events <- st.counters.Perf.deopt_events + 1;
-          refund st rf;
-          st.outcome <-
-            Deopt
-              {
-                deopt_id = dp;
-                reason;
-                snapshot = take_snapshot st;
-                via_smi_ext = false;
-              };
-          -1
-        end
-        else next
-    | Insn.Bcond (c, l) ->
-      let tgt = starget l in
-      let cond = cond_fn c in
-      fun st ->
-        let av = rget st a in
-        let bv = if b_reg >= 0 then rget st b_reg else b_imm in
-        let ready =
-          if b_reg >= 0 then fmax (tget st a) (tget st b_reg) else tget st a
-        in
-        let t = issue_alu st ~ready in
-        if is_tst then set_logic_flags st (av land bv)
-        else set_add_sub_flags st av bv (av - bv) true;
-        st.clk.Cpu.flags_ready <- t;
-        if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-        let taken = cond st in
-        issue_branch st ~pc:bpc2 ~ready:t ~taken;
-        if taken then tgt else next
-    | _ -> assert false
-  in
-  let fused_ldr_untag s u1 =
-    let u2 = u1 + 1 in
-    let next = s + 1 in
-    let pc2 = insn_of_uop.(u2) in
-    let d, am =
-      match ku u1 with Insn.Ldr (d, a) -> (vreg d, a) | _ -> assert false
-    in
-    let op2, dst2, v2 =
-      match ku u2 with
-      | Insn.Alu { op; dst; src = _; rhs = Insn.Imm v; set_flags = _ } ->
-        (op, vreg dst, v)
-      | _ -> assert false
-    in
-    match am.Insn.index with
-    | None ->
-      let b = vreg am.Insn.base and off = am.Insn.offset in
-      fun st ->
-        let ea = rget st b + off in
-        let t = issue_load st ~ready:(tget st b) ~addr:ea in
-        let w = Bigarray.Array1.unsafe_get st.mem (mem_index st name ea) in
-        rset st d w;
-        tset st d t;
-        if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-        let t2 = issue_alu st ~ready:t in
-        rset st dst2 (sext32 (alu_raw op2 w v2));
-        tset st dst2 t2;
-        next
-    | Some _ ->
-      let ea = eff am and ab, ai = aregs am in
-      fun st ->
-        let eav = ea st in
-        let t = issue_load st ~ready:(aready st ab ai) ~addr:eav in
-        let w = Bigarray.Array1.unsafe_get st.mem (mem_index st name eav) in
-        rset st d w;
-        tset st d t;
-        if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-        let t2 = issue_alu st ~ready:t in
-        rset st dst2 (sext32 (alu_raw op2 w v2));
-        tset st dst2 t2;
-        next
-  in
-  let fused_alu_alu s u1 =
-    let u2 = u1 + 1 in
-    let next = s + 1 in
-    let pc2 = insn_of_uop.(u2) in
-    let dec u =
-      match ku u with
-      | Insn.Alu { op; dst; src; rhs; set_flags = _ } ->
-        let r, v =
-          match rhs with Insn.Reg r -> (vreg r, 0) | Insn.Imm v -> (-1, v)
-        in
-        (op, vreg dst, vreg src, r, v)
-      | _ -> assert false
-    in
-    let o1, d1, s1, r1, v1 = dec u1 in
-    let o2, d2, s2, r2, v2 = dec u2 in
-    fun st ->
-      let a1 = rget st s1 in
-      let b1 = if r1 >= 0 then rget st r1 else v1 in
-      let ready1 =
-        if r1 >= 0 then fmax (tget st s1) (tget st r1) else tget st s1
-      in
-      let t1 = issue_alu st ~ready:ready1 in
-      rset st d1 (sext32 (alu_raw o1 a1 b1));
-      tset st d1 t1;
-      if st.sampling then st.cpu.Cpu.cur_pc <- pc2;
-      let a2 = rget st s2 in
-      let b2 = if r2 >= 0 then rget st r2 else v2 in
-      let ready2 =
-        if r2 >= 0 then fmax (tget st s2) (tget st r2) else tget st s2
-      in
-      let t2 = issue_alu st ~ready:ready2 in
-      rset st d2 (sext32 (alu_raw o2 a2 b2));
-      tset st d2 t2;
-      next
-  in
-
-  (* Kinds whose body can raise [Machine_fault] partway through (memory
-     access after issue).  For slots led by one of these, the fault
-     refund covers the suffix INCLUDING the fused partner; otherwise a
-     fault can only escape after the whole slot's semantics, so the
-     refund is the suffix after the slot. *)
-  let fault_capable u =
-    match ku u with
-    | Insn.Ldr _ | Insn.Str _ | Insn.Ldr_f _ | Insn.Str_f _ | Insn.Alu_mem _
-    | Insn.Cmp_mem _ | Insn.Js_ldr_smi _ | Insn.Js_chk_map _ ->
-      true
-    | _ -> false
-  in
-
-  (* One trailing sentinel slot: reachable only by falling through the
-     last instruction (or branching to a trailing pseudo), where the
-     direct engine faults with the same message.  Its side-array
-     entries (-1) skip the whole prologue, so no state is touched
-     before the fault fires — same as the direct engine's bounds
-     check. *)
+  (* One trailing sentinel: reachable only by falling through the last
+     instruction (or branching to a trailing pseudo), where the direct
+     engine faults with the same message.  Its side-array entries (-1)
+     skip the whole prologue, so no state is touched before the fault
+     fires — same as the direct engine's bounds check. *)
   let sentinel (_ : st) : int = fault "%s: fell off code end" name in
-  let uops = Array.make (n_slots + 1) sentinel in
-  let addrs = Array.make (n_slots + 1) (-1) in
-  let pcs = Array.make (n_slots + 1) 0 in
-  let blocks = Array.make (n_slots + 1) (-1) in
-  let faults = Array.make (n_slots + 1) no_delta in
-  let fused_static = Array.make Perf.num_fuse_kinds 0 in
-  for s = 0 to n_slots - 1 do
-    let u1 = slot_first_uop.(s) in
-    let fk = slot_kind.(s) in
-    let i1 = insn_of_uop.(u1) in
-    pcs.(s) <- i1;
+  let uops = Array.make (n_uops + 1) sentinel in
+  let addrs = Array.make (n_uops + 1) (-1) in
+  let pcs = Array.make (n_uops + 1) 0 in
+  for u = 0 to n_uops - 1 do
+    let i = insn_of_uop.(u) in
+    pcs.(u) <- i;
     (* Fetch is dynamic at control-flow block leaders (the predecessor
        is unknown: branch, call return, or a nested activation may
        have moved the fetch line).  Mid-block, the predecessor is
        always the previous micro-op, so a same-line fetch is provably
        the [last_iline] no-op and is elided at decode time. *)
-    if leader.(u1) || uline u1 <> uline (u1 - 1) then addrs.(s) <- base + i1;
-    if block_start u1 then blocks.(s) <- block_of_uop.(u1);
-    let last_u = if fk >= 0 then u1 + 1 else u1 in
-    faults.(s) <- refund_at.(if fault_capable u1 then u1 else last_u);
-    if fk >= 0 then begin
-      fused_static.(fk) <- fused_static.(fk) + 1;
-      uops.(s) <-
-        (if fk = Perf.f_load_untag then fused_ldr_untag s u1
-         else if fk = Perf.f_alu_alu then fused_alu_alu s u1
-         else fused_cmp_branch s u1)
-    end
-    else uops.(s) <- body i1 ~next:(s + 1) ~rf:refund_at.(u1) (ku u1)
+    if leader.(u) || uline u <> uline (u - 1) then addrs.(u) <- base + i;
+    uops.(u) <- body i ~next:(u + 1) ~rf:refund_at.(u) (ku u)
   done;
   {
     p_name = name;
@@ -1541,36 +1126,22 @@ let compile (code : Code.t) : program =
     p_pcs = pcs;
     p_blocks = blocks;
     p_deltas;
-    p_faults = faults;
-    p_fuse = fuse;
-    p_batch = batch;
-    p_stats =
-      {
-        st_uops = n_uops;
-        st_slots = n_slots;
-        st_blocks = n_blocks;
-        st_fused = fused_static;
-      };
+    p_faults = refund_at;
+    p_stats = { st_uops = n_uops; st_blocks = n_blocks };
   }
 
 let get (code : Code.t) =
-  let fuse = fuse_enabled () in
-  let batch = batch_enabled () in
   match code.Code.decode_cache with
-  | Decoded p when p.p_fuse = fuse && p.p_batch = batch -> p
+  | Decoded p -> p
   | _ ->
     let p = compile code in
     code.Code.decode_cache <- Decoded p;
-    if !Trace.on then begin
-      let st = p.p_stats in
+    if !Trace.on then
       Trace.instant_wall ~cat:"machine"
         ~arg:
-          (Printf.sprintf "uops=%d slots=%d blocks=%d fused=%d fuse=%b batch=%b"
-             st.st_uops st.st_slots st.st_blocks
-             (Array.fold_left ( + ) 0 st.st_fused)
-             fuse batch)
-        ("decode:" ^ code.Code.name)
-    end;
+          (Printf.sprintf "uops=%d blocks=%d" p.p_stats.st_uops
+             p.p_stats.st_blocks)
+        ("decode:" ^ code.Code.name);
     p
 
 let warm code = ignore (get code)
@@ -1595,12 +1166,9 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
       cpu;
       clk = cpu.Cpu.clk;
       inorder = cpu.Cpu.cfg.Cpu.inorder;
-      sampling = cpu.Cpu.sampler <> None;
       lat = cpu.Cpu.lat;
       bp = cpu.Cpu.bp;
       counters = cpu.Cpu.counters;
-      fstats = cpu.Cpu.fstats;
-      binc = (if p.p_batch then 1 else 0);
       regs;
       fregs;
       slots;
@@ -1624,12 +1192,12 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
   let blocks = p.p_blocks and deltas = p.p_deltas and faults = p.p_faults in
   let clk = st.clk in
   cpu.Cpu.cur_code <- p.p_code_id;
-  (* Every next-index a micro-op can return is within [0, slots]
+  (* Every next-index a micro-op can return is within [0, uops]
      (straight-line successors and decode-resolved branch targets), and
-     the last slot holds the fell-off-code-end sentinel, so the loop
+     the last entry holds the fell-off-code-end sentinel, so the loop
      indexes the arrays unchecked.
 
-     Per-slot prologue: at an accounting-block leader, check watchdog
+     Per-uop prologue: at an accounting-block leader, check watchdog
      fuel and take the block's batched counter charge; then the fetch
      (elided at decode time when the line provably cannot have
      changed), the sampler attribution pc, and the indirect call.
@@ -1646,7 +1214,7 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
      A [Machine_fault] escaping a micro-op has already charged its own
      retirement (issue precedes the memory access, as in the direct
      engine) but not its block suffix: the handler applies the
-     faulting slot's precomputed refund, restoring exact counter
+     faulting micro-op's precomputed refund, restoring exact counter
      agreement, and re-raises.  Every exit — return, deopt or any
      exception — publishes the stall sums from the clock into the
      counters. *)
@@ -1670,7 +1238,7 @@ let run (cpu : Cpu.t) ~host ~(code : Code.t) ~args =
      | None ->
        (* Without a PC sampler the attribution PC is never read
           ([Cpu.finish] only consults it to tick the sampler), so the
-          per-slot [cur_pc] update is dead and skipped. *)
+          per-uop [cur_pc] update is dead and skipped. *)
        while !i >= 0 do
          let k = !i in
          let b = Array.unsafe_get blocks k in

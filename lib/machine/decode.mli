@@ -9,7 +9,9 @@
     dispatch loop in {!run} then retires one instruction per indirect
     call — an accumulator-threaded loop in which each micro-op returns
     the index of its successor — instead of re-matching on
-    [Insn.kind] every iteration as [Exec.run_direct] does.
+    [Insn.kind] every iteration as [Exec.run_direct] does.  Static
+    integer counters are charged once per straight-line block (see
+    "Block batching" below).
 
     {b Bit-identity contract.}  For any code object, CPU model and
     host, [run] produces exactly the same {!outcome}, memory contents,
@@ -79,56 +81,33 @@ val reason_code : Insn.deopt_reason -> int
 (** {1 Decoding} *)
 
 type program
-(** A compiled code object: the flat dispatch-slot array (singleton or
-    fused micro-ops) plus per-block batched counter deltas. *)
+(** A compiled code object: the flat micro-op array plus per-block
+    batched counter deltas. *)
 
 type Code.cache += Decoded of program
 
 val compile : Code.t -> program
-(** Decode unconditionally (does not consult or fill the cache), under
-    the currently effective fuse/batch flags. *)
+(** Decode unconditionally (does not consult or fill the cache). *)
 
 val get : Code.t -> program
 (** Cached decode: compile on first use, then reuse via
-    [Code.decode_cache].  A cached program compiled under different
-    fuse/batch flags than the currently effective ones is discarded
-    and recompiled, so toggling the escape hatches mid-process cannot
-    serve a stale program shape. *)
+    [Code.decode_cache]. *)
 
 val warm : Code.t -> unit
 (** Populate the decode cache eagerly (used at JIT-compile time so the
     first execution does not pay the decode). *)
 
-(** {1 Fusion and block batching}
+(** {1 Block batching}
 
-    The fusion pass peepholes hot adjacent micro-op pairs into single
-    fused closures (compare + conditional deopt branch, compare +
-    [b.cond], load + untag shift — the software [jsldrsmi] analogue —
-    and ALU + ALU on disjoint registers); the batching pass charges
-    each straight-line block's static integer counters once at block
-    entry, with exact decode-time refunds on cold early exits (deopt
-    bailouts, machine faults) so counters stay bit-identical to the
-    direct interpreter on every path.  Both default on; the
-    [VSPEC_FUSE=0] / [VSPEC_BATCH=0] environment knobs or the
-    programmatic overrides below disable them independently. *)
+    Each straight-line block's static integer counters are charged once
+    at block entry, with exact decode-time refunds on cold early exits
+    (deopt bailouts, machine faults), so counters stay bit-identical to
+    the direct interpreter on every path. *)
 
-val set_fuse : bool option -> unit
-(** Override the [VSPEC_FUSE] environment setting for this process
-    ([None] = back to the environment).  Used by the determinism tests
-    to digest-compare all four engine configurations. *)
-
-val set_batch : bool option -> unit
-(** Override [VSPEC_BATCH]; same contract as {!set_fuse}. *)
-
-val fuse_enabled : unit -> bool
-val batch_enabled : unit -> bool
-
-(** Decode-time static coverage of one compiled program. *)
+(** Decode-time static shape of one compiled program. *)
 type stats = {
   st_uops : int;  (** micro-ops (non-pseudo instructions) *)
-  st_slots : int;  (** dispatch slots = micro-ops − fused pairs *)
-  st_blocks : int;  (** accounting blocks ( = slots when batching off) *)
-  st_fused : int array;  (** static fused pairs per {!Perf} fuse kind *)
+  st_blocks : int;  (** accounting blocks *)
 }
 
 val stats : program -> stats

@@ -41,40 +41,6 @@ val runtime_code_id : int
 val builtin_code_id : int
 val gc_code_id : int
 
-(** {1 Fusion / block-batching observability}
-
-    Coverage counters for the pre-decoded engine's superinstruction
-    fusion and block-batched accounting.  Kept outside {!counters} on
-    purpose: harness results marshal the whole [counters] record and the
-    determinism suite digests them, so engine-specific statistics there
-    would break the direct-vs-decoded bit-identity contract. *)
-
-val f_check_deopt : int
-(** cmp/tst + conditional deopt branch *)
-
-val f_cmp_bcond : int
-(** cmp/tst + [b.cond] *)
-
-val f_load_untag : int
-(** load + untag shift (software [jsldrsmi]) *)
-
-val f_alu_alu : int
-(** ALU + ALU on disjoint registers *)
-
-val num_fuse_kinds : int
-val fuse_kind_name : int -> string
-
-type fusion = {
-  mutable fused_retired : int;
-      (** dynamic instructions retired inside fused micro-ops *)
-  fused_by_kind : int array;  (** fused-pair executions per kind *)
-  mutable batched_blocks : int;
-      (** block-granular accounting charges taken (0 when batching off) *)
-}
-
-val create_fusion : unit -> fusion
-val reset_fusion : fusion -> unit
-
 type sampler
 
 val create_sampler : period:float -> seed:int -> sampler

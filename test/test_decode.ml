@@ -1,42 +1,34 @@
-(* Decode-cache and fusion-pass coverage: flag-keyed cache behavior
-   (hits, recompiles on escape-hatch toggles, invalidation through
-   fresh code objects), exact static pairing on a known snippet that
-   exercises all four fuse kinds, dynamic fusion/batching counters,
-   and a golden-model test of the branch predictor's hot path. *)
+(* Decoded-engine coverage: the decode cache (hits, invalidation
+   through fresh code objects), the static block shape of a known
+   snippet, block-batched counters equal to the direct interpreter's,
+   the hot path's allocation bound, and a golden-model test of the
+   branch predictor's hot path. *)
 
 let () = Unix.putenv "VSPEC_CACHE_DIR" "off"
 
-let with_flags ?fuse ?batch f =
-  Decode.set_fuse fuse;
-  Decode.set_batch batch;
-  Fun.protect
-    ~finally:(fun () ->
-      Decode.set_fuse None;
-      Decode.set_batch None)
-    f
+(* A 15-instruction snippet (one i-cache line at base 0x100) with a
+   loop whose body mixes a check (tst + deopt_if), a load + untag, ALU
+   work and a compare + back-edge:
 
-(* A 15-instruction snippet (one i-cache line at base 0x100) whose loop
-   body contains exactly one statically fusible pair of each kind:
-
-     mov r0, #0            ; uop 0   singleton
-     mov r1, #16           ; uop 1   singleton
-     mov r5, #2            ; uop 2   singleton (even: Tst.Ne never fires)
+     mov r0, #0            ; uop 0
+     mov r1, #16           ; uop 1
+     mov r5, #2            ; uop 2   (even: Tst.Ne never fires)
    L0:
-     tst r5, #1            ; uop 3 \  check_deopt pair
-     deopt_if ne, dp0      ; uop 4 /
-     ldr r2, [r1]          ; uop 5 \  load_untag pair
-     asr r2, r2, #1        ; uop 6 /
-     add r3, r0, #5        ; uop 7 \  alu_alu pair (disjoint regs)
-     eor r4, r1, #9        ; uop 8 /
-     add r0, r0, #1        ; uop 9   singleton (next uop is a Cmp)
-     cmp r0, #4            ; uop 10 \  cmp_bcond pair
-     b.lt L0               ; uop 11 /
-     mov r0, r3            ; uop 12  singleton
-     ret                   ; uop 13  singleton
+     tst r5, #1            ; uop 3
+     deopt_if ne, dp0      ; uop 4
+     ldr r2, [r1]          ; uop 5
+     asr r2, r2, #1        ; uop 6
+     add r3, r0, #5        ; uop 7
+     eor r4, r1, #9        ; uop 8
+     add r0, r0, #1        ; uop 9
+     cmp r0, #4            ; uop 10
+     b.lt L0               ; uop 11
+     mov r0, r3            ; uop 12
+     ret                   ; uop 13
 
    Leaders are uops {0, 3, 12} (entry, loop target, Bcond successor),
-   so batching yields 3 accounting blocks; 14 uops - 4 pairs = 10
-   dispatch slots.  The loop runs 4 iterations and returns r3 = 8. *)
+   so there are 3 accounting blocks.  The loop runs 4 iterations and
+   returns r3 = 8. *)
 let snippet () =
   let i k = Insn.make k in
   let alu ~op ~dst ~src rhs =
@@ -47,7 +39,7 @@ let snippet () =
     [| { Code.dp_id = 0; reason = Insn.Not_a_smi; bc_pc = 0; frame = [||];
          accumulator = Code.Fv_dead } |]
   in
-  Code.assemble ~code_id:0 ~name:"fusemix" ~arch:Arch.Arm64 ~deopts
+  Code.assemble ~code_id:0 ~name:"snippet" ~arch:Arch.Arm64 ~deopts
     ~gp_slots:8 ~fp_slots:4 ~base_addr:0x100
     [ i (Insn.Mov (0, Insn.Imm 0));
       i (Insn.Mov (1, Insn.Imm 16));
@@ -70,81 +62,64 @@ let null_host () =
     call_builtin = (fun _ _ -> 0);
     call_js = (fun _ _ -> 0) }
 
-let test_static_pairing () =
-  with_flags ~fuse:true ~batch:true (fun () ->
-      let st = Decode.stats (Decode.compile (snippet ())) in
-      Alcotest.(check int) "micro-ops" 14 st.Decode.st_uops;
-      Alcotest.(check int) "slots = uops - pairs" 10 st.Decode.st_slots;
-      Alcotest.(check int) "accounting blocks" 3 st.Decode.st_blocks;
-      Alcotest.(check (array int)) "one static pair of each kind"
-        [| 1; 1; 1; 1 |] st.Decode.st_fused);
-  with_flags ~fuse:true ~batch:false (fun () ->
-      let st = Decode.stats (Decode.compile (snippet ())) in
-      Alcotest.(check int) "batch off: one block per slot" 10
-        st.Decode.st_blocks);
-  with_flags ~fuse:false ~batch:true (fun () ->
-      let st = Decode.stats (Decode.compile (snippet ())) in
-      Alcotest.(check int) "fuse off: one slot per uop" 14 st.Decode.st_slots;
-      Alcotest.(check (array int)) "fuse off: no static pairs"
-        [| 0; 0; 0; 0 |] st.Decode.st_fused;
-      Alcotest.(check int) "fuse off: same blocks" 3 st.Decode.st_blocks)
+let test_static_shape () =
+  let st = Decode.stats (Decode.compile (snippet ())) in
+  Alcotest.(check int) "micro-ops" 14 st.Decode.st_uops;
+  Alcotest.(check int) "accounting blocks" 3 st.Decode.st_blocks
 
-let test_cache_hit_and_flag_recompile () =
+let test_cache_hit () =
   let code = snippet () in
-  with_flags (fun () ->
-      let p1 = Decode.get code in
-      Alcotest.(check bool) "second get is a cache hit" true
-        (p1 == Decode.get code);
-      Decode.set_fuse (Some false);
-      let p2 = Decode.get code in
-      Alcotest.(check bool) "flag flip recompiles" true (p2 != p1);
-      Alcotest.(check int) "recompiled without fusion" 14
-        (Decode.stats p2).Decode.st_slots;
-      Alcotest.(check bool) "new program is cached in turn" true
-        (p2 == Decode.get code);
-      Decode.set_fuse None;
-      let p3 = Decode.get code in
-      Alcotest.(check bool) "restoring flags recompiles again" true
-        (p3 != p2);
-      Alcotest.(check int) "fusion is back" 10 (Decode.stats p3).Decode.st_slots)
+  let p1 = Decode.get code in
+  Alcotest.(check bool) "second get is a cache hit" true
+    (p1 == Decode.get code)
 
 let test_fresh_code_invalidation () =
   (* Recompilation always builds a fresh [Code.t], so a stale program
-     cannot be served; the fresh object re-runs the fusion pass from
-     scratch and reaches the same static coverage. *)
-  with_flags (fun () ->
-      let c1 = snippet () in
-      let p1 = Decode.get c1 in
-      let c2 = snippet () in
-      let p2 = Decode.get c2 in
-      Alcotest.(check bool) "fresh code object, fresh program" true (p2 != p1);
-      Alcotest.(check (array int)) "fusion re-ran on the fresh body"
-        (Decode.stats p1).Decode.st_fused (Decode.stats p2).Decode.st_fused;
-      Alcotest.(check int) "same slot count" (Decode.stats p1).Decode.st_slots
-        (Decode.stats p2).Decode.st_slots)
+     cannot be served; the fresh object is decoded from scratch and
+     reaches the same static shape. *)
+  let c1 = snippet () in
+  let p1 = Decode.get c1 in
+  let c2 = snippet () in
+  let p2 = Decode.get c2 in
+  Alcotest.(check bool) "fresh code object, fresh program" true (p2 != p1);
+  Alcotest.(check bool) "same static shape" true
+    (Decode.stats p1 = Decode.stats p2)
 
-let test_dynamic_coverage () =
-  (* 4 loop iterations x 4 fused pairs = 16 pair executions (32 fused
-     retired instructions); blocks charged: prologue + 4 loop bodies +
-     epilogue = 6. *)
-  with_flags ~fuse:true ~batch:true (fun () ->
-      let cpu = Cpu.create Cpu.fast_arm64 in
-      (match Decode.run cpu ~host:(null_host ()) ~code:(snippet ()) ~args:[||]
-       with
-      | Exec.Done v -> Alcotest.(check int) "fused semantics intact" 8 v
-      | _ -> Alcotest.fail "expected Done");
-      let fs = cpu.Cpu.fstats in
-      Alcotest.(check int) "fused retired" 32 fs.Perf.fused_retired;
-      Alcotest.(check (array int)) "pair executions by kind"
-        [| 4; 4; 4; 4 |] fs.Perf.fused_by_kind;
-      Alcotest.(check int) "batched block charges" 6 fs.Perf.batched_blocks);
-  with_flags ~fuse:true ~batch:false (fun () ->
-      let cpu = Cpu.create Cpu.fast_arm64 in
-      ignore (Decode.run cpu ~host:(null_host ()) ~code:(snippet ()) ~args:[||]);
-      Alcotest.(check int) "batch off: no batched charges" 0
-        cpu.Cpu.fstats.Perf.batched_blocks;
-      Alcotest.(check int) "batch off: fusion still live" 32
-        cpu.Cpu.fstats.Perf.fused_retired)
+let test_batched_counters () =
+  (* Block-entry charges must leave every counter exactly where the
+     direct interpreter's per-instruction accounting does. *)
+  let run exec =
+    let cpu = Cpu.create Cpu.fast_arm64 in
+    (match exec cpu ~host:(null_host ()) ~code:(snippet ()) ~args:[||] with
+    | Exec.Done v -> Alcotest.(check int) "snippet returns 8" 8 v
+    | _ -> Alcotest.fail "expected Done");
+    cpu.Cpu.counters
+  in
+  let d = run Exec.run_direct and b = run Decode.run in
+  let int name f = Alcotest.(check int) name (f d) (f b) in
+  let float name f =
+    Alcotest.(check int64) name
+      (Int64.bits_of_float (f d))
+      (Int64.bits_of_float (f b))
+  in
+  int "instructions" (fun c -> c.Perf.instructions);
+  int "branches" (fun c -> c.Perf.branches);
+  int "taken_branches" (fun c -> c.Perf.taken_branches);
+  int "mispredicts" (fun c -> c.Perf.mispredicts);
+  int "loads" (fun c -> c.Perf.loads);
+  int "stores" (fun c -> c.Perf.stores);
+  float "frontend_stall" (fun c -> c.Perf.frontend_stall);
+  float "backend_stall" (fun c -> c.Perf.backend_stall);
+  int "check_instructions" (fun c -> c.Perf.check_instructions);
+  int "check_branches" (fun c -> c.Perf.check_branches);
+  Alcotest.(check (array int)) "check_per_group" d.Perf.check_per_group
+    b.Perf.check_per_group;
+  int "deopt_events" (fun c -> c.Perf.deopt_events);
+  int "jit_instructions" (fun c -> c.Perf.jit_instructions);
+  int "runtime_instructions" (fun c -> c.Perf.runtime_instructions);
+  Alcotest.(check bool) "every field compared" true (d = b);
+  Alcotest.(check int) "4 iterations x 2 check instructions" 8
+    b.Perf.check_instructions
 
 (* ---------------- allocation-free hot path ---------------- *)
 
@@ -152,7 +127,7 @@ let test_dynamic_coverage () =
    loads and stores, a dependent divide chain (out-of-order backend
    stalls once it outruns the ROB slack on fast_arm64; in-order stalls
    on inorder_a55), a data-dependent branch over a pseudo-random bit
-   pattern (mispredicts), a taken back-edge, and fused compare+branch
+   pattern (mispredicts), a taken back-edge, and compare+branch
    pairs.  2000 iterations retire about 26k instructions. *)
 let alloc_iters = 2000
 
@@ -285,14 +260,13 @@ let suite =
   [
     ( "decode",
       [
-        Alcotest.test_case "static pairing on a known snippet" `Quick
-          test_static_pairing;
-        Alcotest.test_case "cache hit + flag-keyed recompile" `Quick
-          test_cache_hit_and_flag_recompile;
+        Alcotest.test_case "static shape of a known snippet" `Quick
+          test_static_shape;
+        Alcotest.test_case "cache hit" `Quick test_cache_hit;
         Alcotest.test_case "fresh code object invalidates" `Quick
           test_fresh_code_invalidation;
-        Alcotest.test_case "dynamic fusion/batching counters" `Quick
-          test_dynamic_coverage;
+        Alcotest.test_case "batched counters equal direct" `Quick
+          test_batched_counters;
         Alcotest.test_case "decoded hot path allocation bound" `Quick
           test_alloc_bound;
         Alcotest.test_case "predictor matches golden model" `Quick

@@ -185,8 +185,7 @@ let test_watchdog_both_engines () =
     [ Exec.Direct; Exec.Decoded ]
 
 (* One long straight-line accounting block per loop iteration: eight
-   ALU ops (which pairwise fuse on disjoint registers) and an
-   unconditional back-edge.  Under block batching the fuel check runs
+   ALU ops and an unconditional back-edge.  Under block batching the fuel check runs
    once per block entry, so this is the worst case for overshoot. *)
 let straight_spin () =
   mk_code
@@ -202,15 +201,10 @@ let straight_spin () =
             })
     @ [ Insn.B 0 ])
 
-let run_spin_config ~fuse ~batch code =
+let run_spin_decoded code =
   Exec.set_engine (Some Exec.Decoded);
-  Decode.set_fuse (Some fuse);
-  Decode.set_batch (Some batch);
   Fun.protect
-    ~finally:(fun () ->
-      Exec.set_engine None;
-      Decode.set_fuse None;
-      Decode.set_batch None)
+    ~finally:(fun () -> Exec.set_engine None)
     (fun () ->
       let cpu = Cpu.create Cpu.fast_arm64 in
       Cpu.arm_watchdog cpu ~cycles:10_000.0;
@@ -222,31 +216,21 @@ let run_spin_config ~fuse ~batch code =
 
 let test_watchdog_batched_payload () =
   (* Mid-block fuel exhaustion must raise the exact same typed fault —
-     same [what], same [limit] — in every engine configuration. *)
-  List.iter
-    (fun (fuse, batch) ->
-      let _, e = run_spin_config ~fuse ~batch (straight_spin ()) in
-      Alcotest.(check bool)
-        (Printf.sprintf "exact Runaway payload (fuse=%b batch=%b)" fuse batch)
-        true
-        (e = Fault.Fault (Fault.Runaway { what = "spin"; limit = 10_000.0 })))
-    [ (true, true); (false, true); (true, false); (false, false) ]
+     same [what], same [limit] — as the direct engine's per-instruction
+     check. *)
+  let _, e = run_spin_decoded (straight_spin ()) in
+  Alcotest.(check bool) "exact Runaway payload" true
+    (e = Fault.Fault (Fault.Runaway { what = "spin"; limit = 10_000.0 }))
 
 let test_watchdog_overshoot_bounded () =
   (* The block-entry fuel check runs before the block's charge, so the
      dispatch pointer can pass the ceiling by at most one straight-line
      block — ten micro-ops here, well under 32 cycles on the fast ARM64
      model — never by an unbounded amount. *)
-  List.iter
-    (fun (fuse, batch) ->
-      let cpu, _ = run_spin_config ~fuse ~batch (straight_spin ()) in
-      let now = cpu.Cpu.clk.Cpu.now in
-      Alcotest.(check bool)
-        (Printf.sprintf "overshoot within one block (fuse=%b batch=%b)" fuse
-           batch)
-        true
-        (now > 0.0 && now <= 10_000.0 +. 32.0))
-    [ (true, true); (true, false) ]
+  let cpu, _ = run_spin_decoded (straight_spin ()) in
+  let now = cpu.Cpu.clk.Cpu.now in
+  Alcotest.(check bool) "overshoot within one block" true
+    (now > 0.0 && now <= 10_000.0 +. 32.0)
 
 let test_watchdog_disarmed_is_free () =
   (* A terminating code object under an armed watchdog is unaffected. *)

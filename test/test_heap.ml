@@ -147,6 +147,26 @@ let test_prototype_chain () =
   Alcotest.(check (option int)) "proto unchanged" (Some (Value.smi 7))
     (Heap.get_property h proto "shared")
 
+let test_named_store_needs_object () =
+  (* A function is [map][function_id][context][prototype]: it has no
+     named-property slots, so a named store must not reach its fixed
+     fields. *)
+  let h = mk () in
+  let ctx = Heap.alloc_empty_object h in
+  let f = Heap.alloc_function h ~function_id:3 ~context:ctx in
+  let proto = Heap.function_prototype h f in
+  List.iter
+    (fun (what, obj) ->
+      Alcotest.(check bool) (what ^ " rejected") true
+        (match Heap.set_property h obj "x" (Value.smi 5) with
+        | () -> false
+        | exception Invalid_argument _ -> true))
+    [ ("function", f); ("string", Heap.alloc_string h "s");
+      ("heap number", Heap.alloc_heap_number h 0.5) ];
+  Alcotest.(check int) "function id intact" 3 (Heap.function_id_of h f);
+  Alcotest.(check int) "context intact" ctx (Heap.function_context h f);
+  Alcotest.(check int) "prototype intact" proto (Heap.function_prototype h f)
+
 (* ---------------- Arrays ---------------- *)
 
 let test_array_basics () =
@@ -386,6 +406,8 @@ let suite =
         Alcotest.test_case "out-of-line properties" `Quick test_many_properties_out_of_line;
         Alcotest.test_case "prototype chain" `Quick test_prototype_chain;
         Alcotest.test_case "map_of on a non-map" `Quick test_map_of_non_map;
+        Alcotest.test_case "named store needs an object" `Quick
+          test_named_store_needs_object;
       ] );
     ( "heap-arrays",
       [

@@ -151,6 +151,41 @@ let test_objects_prototypes () =
   Alcotest.(check string) "string key access" "2"
     (prog_str {|var o = { k1: 1, k2: 2 }; var __r = o["k" + 2];|})
 
+let test_function_properties () =
+  Alcotest.(check string) "assigned prototype" "42"
+    (prog_str
+       "function F() { this.a = 1; }\n\
+        F.prototype = { m: function() { return this.a + 41; } };\n\
+        var __r = new F().m();");
+  let raises src =
+    Alcotest.(check bool) ("raises: " ^ src) true
+      (try
+         ignore (eval_prog src);
+         false
+       with Builtins.Js_error _ -> true)
+  in
+  raises "function F() {} F.x = 5; F.y = 6;";
+  raises
+    "function mk() { var c = 41; function g() { return c + 1; } g.tag = 7; \
+     return g(); } mk();";
+  raises "function F() {} F.prototype = 5;";
+  (* The optimizing compiler's generic store takes the same path. *)
+  let rt = eval_prog "function F() { this.a = 2; }" in
+  let h = rt.Runtime.heap in
+  let f = Heap.cell_value h (Heap.global_cell h "F") in
+  let proto = Heap.alloc_empty_object h in
+  let set name v =
+    Builtins.dispatch rt Builtins.id_rt_set_named ~this:(Heap.undefined h)
+      ~args:[| f; Heap.alloc_string h name; v |]
+  in
+  ignore (set "prototype" proto);
+  Alcotest.(check int) "runtime store sets the prototype" proto
+    (Heap.function_prototype h f);
+  Alcotest.(check bool) "runtime store of another name raises" true
+    (match set "x" (Value.smi 5) with
+    | _ -> false
+    | exception Builtins.Js_error _ -> true)
+
 let test_arrays_js () =
   Alcotest.(check string) "literal + index" "20" (prog_str "var a = [10, 20, 30]; var __r = a[1];");
   Alcotest.(check string) "push/length" "4"
@@ -478,6 +513,7 @@ let base_suite =
         Alcotest.test_case "control flow" `Quick test_control_flow;
         Alcotest.test_case "functions/closures" `Quick test_functions_closures;
         Alcotest.test_case "objects/prototypes" `Quick test_objects_prototypes;
+        Alcotest.test_case "function properties" `Quick test_function_properties;
         Alcotest.test_case "arrays" `Quick test_arrays_js;
       ] );
     ( "interp-builtins",

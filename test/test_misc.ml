@@ -327,7 +327,55 @@ let test_extra_builtins () =
   check "acos(1)" "0" "Math.acos(1)";
   check "log2(8)" "3" "Math.log2(8)"
 
+let test_int_args () =
+  (* [Builtins.int_arg] reads a SMI from its tag and everything else
+     through [int_of_float] of its number value; both must agree. *)
+  let rt = Runtime.create ~heap_size:(1 lsl 16) (Bcompiler.compile "") in
+  let h = rt.Runtime.heap in
+  let forms =
+    [ ("SMI", [| Value.smi 3 |]);
+      ("negative SMI", [| Value.smi (-7) |]);
+      ("double", [| Heap.alloc_heap_number h 3.75 |]);
+      ("NaN", [| Heap.alloc_heap_number h Float.nan |]);
+      ("string", [| Heap.alloc_string h "3" |]);
+      ("missing", [||]) ]
+  in
+  List.iter
+    (fun (name, args) ->
+      let v = if Array.length args > 0 then args.(0) else Heap.undefined h in
+      Alcotest.(check int) name
+        (int_of_float (Conv.to_number h v))
+        (Builtins.int_arg rt args 0))
+    forms;
+  (* The same calls through JS: a SMI argument, the double and the
+     string that convert to it, and NaN against its integer value. *)
+  let run src =
+    let h, v = eval_js src in
+    Conv.to_js_string h v
+  in
+  List.iter
+    (fun call ->
+      let want = run (Printf.sprintf call "2") in
+      List.iter
+        (fun arg ->
+          Alcotest.(check string) (Printf.sprintf call arg) want
+            (run (Printf.sprintf call arg)))
+        [ "2.5"; {|"2"|} ];
+      Alcotest.(check string) (Printf.sprintf call "NaN")
+        (run (Printf.sprintf call (string_of_int (int_of_float Float.nan))))
+        (run (Printf.sprintf call "NaN")))
+    [ {|"abcdef".charCodeAt(%s)|}; {|"abcdef".charAt(%s)|};
+      {|"abcdef".substring(%s)|}; {|"abcdef".substring(1, %s)|};
+      {|String.fromCharCode(%s)|}; {|"ab".repeat(%s)|};
+      {|[1, 2, 3, 4].slice(%s).join("")|} ]
+
 let extra_suite =
-  [ ("builtins-extra", [ Alcotest.test_case "extras" `Quick test_extra_builtins ]) ]
+  [
+    ( "builtins-extra",
+      [
+        Alcotest.test_case "extras" `Quick test_extra_builtins;
+        Alcotest.test_case "integer arguments" `Quick test_int_args;
+      ] );
+  ]
 
 let suite = base_suite @ prop_suite @ extra_suite
